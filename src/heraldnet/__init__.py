@@ -3,156 +3,47 @@
 Exact sparse-amplitude simulation of three distribution schemes (Bell-pair
 centralized, single-photon centralized, single-photon decentralized), their
 closed-form metrics, and the comparison tooling between the two.
+
+The top level holds the documented entry points; the engine (``fock``,
+``optics``, ``schemes``) and the drivers (``experiments``, ``cli``) are
+imported from their submodules.
 """
 
 from .analytic import (
-    ChordAsymptote,
-    ClosedForms,
-    asymptotic_chord,
-    chord_length,
-    closed_forms,
     closed_h_eff,
     closed_p_hr,
     closed_p_suc,
-    crossover_margin,
     crossover_radius,
-    eta_of_length,
     exact_h_eff,
     exact_p_hr,
     lhv_threshold,
     p_suc_crossing_party_count,
-    sc_p_hr_uncorrected,
-)
-from .experiments import (
-    CrossoverPoint,
-    SweepRecord,
-    VerificationRow,
-    crossover_curve,
-    sweep_vs_radius,
-    verification_report,
-    verify_suite,
-)
-from .fock import (
-    Mode,
-    ModeCollisionError,
-    ModeRegistry,
-    PhotonicState,
-    RegistryError,
-    inner_product,
-    norm_squared,
-    project_pattern,
-    state_from_creation_product,
-    superpose,
 )
 from .heralding import (
     Metrics,
-    NoGhzComponentError,
-    OracleSizeError,
     PatternOutcome,
     UndefinedMetricError,
     analyze_patterns,
     compute_metrics,
-    enumerate_patterns,
-    false_herald_breakdown,
-    herald_probability,
-    heralding_efficiency,
-    pattern_projection,
-    success_probability,
 )
-from .optics import (
-    Circuit,
-    LinearMap,
-    TermBudgetError,
-    apply,
-    bs_5050,
-    compose_maps,
-    is_isometry,
-    loss_channel,
-    merge_maps,
-    pbs_da,
-    pbs_hv,
-    phase_plate,
-    rewire,
-)
-from .schemes import (
-    NetworkGeometry,
-    SchemeBuild,
-    SchemeSpec,
-    build_bc,
-    build_sc,
-    build_scheme,
-    build_sd,
-    eta_for_geometry,
-)
+from .schemes import SchemeBuild, build_scheme
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChordAsymptote",
-    "Circuit",
-    "ClosedForms",
-    "CrossoverPoint",
-    "LinearMap",
     "Metrics",
-    "Mode",
-    "ModeCollisionError",
-    "ModeRegistry",
-    "NetworkGeometry",
-    "NoGhzComponentError",
-    "OracleSizeError",
     "PatternOutcome",
-    "PhotonicState",
-    "RegistryError",
     "SchemeBuild",
-    "SchemeSpec",
-    "SweepRecord",
-    "TermBudgetError",
     "UndefinedMetricError",
-    "VerificationRow",
     "analyze_patterns",
-    "apply",
-    "asymptotic_chord",
-    "bs_5050",
-    "build_bc",
-    "build_sc",
     "build_scheme",
-    "build_sd",
-    "chord_length",
-    "closed_forms",
     "closed_h_eff",
     "closed_p_hr",
     "closed_p_suc",
-    "compose_maps",
     "compute_metrics",
-    "crossover_curve",
-    "crossover_margin",
     "crossover_radius",
-    "enumerate_patterns",
-    "eta_for_geometry",
-    "eta_of_length",
     "exact_h_eff",
     "exact_p_hr",
-    "false_herald_breakdown",
-    "herald_probability",
-    "heralding_efficiency",
-    "inner_product",
-    "is_isometry",
     "lhv_threshold",
-    "loss_channel",
-    "merge_maps",
-    "norm_squared",
     "p_suc_crossing_party_count",
-    "pattern_projection",
-    "pbs_da",
-    "pbs_hv",
-    "phase_plate",
-    "project_pattern",
-    "rewire",
-    "sc_p_hr_uncorrected",
-    "state_from_creation_product",
-    "success_probability",
-    "superpose",
-    "sweep_vs_radius",
-    "verification_report",
-    "verify_suite",
 ]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .heralding import UndefinedMetricError
 from .schemes import DEFAULT_ALPHA, SCHEMES
@@ -132,26 +131,6 @@ def exact_h_eff(scheme: str, n: int, eta: float) -> float:
     return eta ** (2 * n) / (2.0 - eta**2) ** n
 
 
-@dataclass(frozen=True)
-class ClosedForms:
-    """Evaluable closed-form family for one scheme."""
-
-    scheme: str
-    p_suc: Callable[[int, float], float]
-    p_hr: Callable[[int, float], float]
-    h_eff: Callable[[int, float], float]
-
-
-def closed_forms(scheme: str) -> ClosedForms:
-    _check(scheme, 2, 1.0)
-    return ClosedForms(
-        scheme=scheme,
-        p_suc=lambda n, eta: closed_p_suc(scheme, n, eta),
-        p_hr=lambda n, eta: closed_p_hr(scheme, n, eta),
-        h_eff=lambda n, eta: closed_h_eff(scheme, n, eta),
-    )
-
-
 def lhv_threshold(n: int) -> float:
     """Minimum heralding efficiency N/(2N-2) that rules out a local
     hidden-variable explanation of the heralded correlations."""
@@ -160,8 +139,15 @@ def lhv_threshold(n: int) -> float:
     return n / (2.0 * n - 2.0)
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def eta_of_length(alpha: float, length_km: float) -> float:
     """Amplitude transmission e^(-alpha*l) of a fibre of length l."""
+    _check_finite("attenuation", alpha)
+    _check_finite("length", length_km)
     if alpha <= 0:
         raise ValueError("attenuation must be positive")
     if length_km < 0:
@@ -190,10 +176,12 @@ def crossover_radius(
     Zero when 2 sin(pi/N) >= 1 (N <= 6): the margin is then non-negative
     for every radius, so the curves only touch at R = 0.  Otherwise the
     unique positive root is bracketed by doubling from 1 km and bisected
-    to within ``tol``.
+    to within ``tol``, or until the bracket is two adjacent floats.
     """
     if n < 2:
         raise ValueError("need at least two parties")
+    _check_finite("attenuation", alpha)
+    _check_finite("tolerance", tol)
     if alpha <= 0:
         raise ValueError("attenuation must be positive")
     if tol <= 0:
@@ -211,6 +199,8 @@ def crossover_radius(
             )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if crossover_margin(mid, n, alpha) < 0.0:
             lo = mid
         else:
@@ -243,6 +233,7 @@ class ChordAsymptote:
 
 
 def asymptotic_chord(alpha: float = DEFAULT_ALPHA, reference_n: int = 500) -> ChordAsymptote:
+    _check_finite("attenuation", alpha)
     if alpha <= 0:
         raise ValueError("attenuation must be positive")
     radius = crossover_radius(reference_n, alpha, tol=1e-9)

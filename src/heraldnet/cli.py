@@ -19,7 +19,7 @@ from .analytic import asymptotic_chord, closed_h_eff, closed_p_hr, closed_p_suc,
 from .experiments import (
     DEFAULT_VERIFY_ETAS,
     DEFAULT_VERIFY_PARTIES,
-    SWEEP_CSV_HEADER,
+    SweepRecord,
     crossover_curve,
     fmt,
     sweep_vs_radius,
@@ -66,6 +66,8 @@ def parse_radius_grid(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise CliError(f"cannot parse radius grid {text!r}; use START:STOP:STEP") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise CliError("radius grid values must be finite")
     if step <= 0 or stop < start or start < 0:
         raise CliError("radius grid needs start >= 0, stop >= start and step > 0")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -223,13 +225,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             stream.write("\n")
             return
         if fmt_choice == "csv":
-            stream.write(SWEEP_CSV_HEADER + "\n")
-            for r in rows:
-                stream.write(",".join((
-                    r["scheme"], str(r["n_parties"]),
-                    "" if r["radius_km"] is None else fmt(r["radius_km"]),
-                    fmt(r["alpha"]), fmt(r["eta"]), fmt(r["p_suc"]), fmt(r["p_hr"]),
-                    fmt(r["h_eff"]), fmt(r["h_th"]), r["source"])) + "\n")
+            write_sweep_csv([SweepRecord(**r) for r in rows], stream)
             return
         for r in rows:
             stream.write(
@@ -300,8 +296,6 @@ def cmd_crossover(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     parties = list(DEFAULT_VERIFY_PARTIES) if args.parties is None else parse_parties(args.parties)
-    for n in parties:
-        check_oracle_size(n)
     etas = list(DEFAULT_VERIFY_ETAS) if args.eta is None else [args.eta]
     rows = verify_suite(
         parties, etas, resolve_schemes(args.scheme),

@@ -26,11 +26,11 @@ from .analytic import (
     lhv_threshold,
     sc_p_hr_uncorrected,
 )
-from .heralding import DEFAULT_TERM_BUDGET, check_oracle_size, compute_metrics
+from .heralding import check_oracle_size, compute_metrics
 from .optics import TermBudgetError
 from .schemes import DEFAULT_ALPHA, SCHEMES, NetworkGeometry, build_scheme, eta_for_geometry
 
-VERIFY_TOL = 1e-9
+VERIFY_TOL = 1e-9  # relative; see agrees()
 METRIC_NAMES = ("p_suc", "p_hr", "h_eff")
 
 SWEEP_CSV_HEADER = "scheme,N,R_km,alpha,eta,p_suc,p_hr,h_eff,h_th,source"
@@ -42,6 +42,12 @@ DEFAULT_VERIFY_ETAS = (1.0, 0.9, 0.7, 0.5)
 def fmt(value: float) -> str:
     """Canonical 12-significant-digit rendering used in every output file."""
     return f"{value:.12g}"
+
+
+def agrees(analytic: float, simulated: float) -> bool:
+    """The verify criterion: equal to a relative ``VERIFY_TOL``, with a
+    1e-18 absolute floor so that exact zeros match."""
+    return math.isclose(analytic, simulated, rel_tol=VERIFY_TOL, abs_tol=1e-18)
 
 
 def worker_count(requested: int | None = None) -> int:
@@ -60,7 +66,7 @@ def worker_count(requested: int | None = None) -> int:
 class SweepRecord:
     scheme: str
     n_parties: int
-    radius_km: float
+    radius_km: float | None  # None when eta was given instead of a geometry
     alpha: float
     eta: float
     p_suc: float
@@ -74,7 +80,7 @@ class SweepRecord:
             (
                 self.scheme,
                 str(self.n_parties),
-                fmt(self.radius_km),
+                "" if self.radius_km is None else fmt(self.radius_km),
                 fmt(self.alpha),
                 fmt(self.eta),
                 fmt(self.p_suc),
@@ -103,7 +109,7 @@ class VerificationRow:
 
     @property
     def passed(self) -> bool:
-        return self.abs_diff <= VERIFY_TOL
+        return agrees(self.analytic, self.simulated)
 
     def as_dict(self) -> dict:
         return {
@@ -180,19 +186,17 @@ def crossover_curve(
     return points
 
 
-def _oracle_case(args: tuple[str, int, float, int | None]) -> tuple[str, int, float, float, float]:
-    scheme, n, eta, term_cap = args
-    metrics = compute_metrics(build_scheme(scheme, n, eta), term_cap=term_cap)
+def _oracle_case(args: tuple[str, int, float]) -> tuple[str, int, float, float, float]:
+    scheme, n, eta = args
+    metrics = compute_metrics(build_scheme(scheme, n, eta))
     return scheme, n, eta, metrics.p_suc, metrics.p_hr
 
 
 def oracle_metrics_map(
-    cases: Sequence[tuple[str, int, float]],
-    workers: int | None = None,
-    term_cap: int | None = DEFAULT_TERM_BUDGET,
+    cases: Sequence[tuple[str, int, float]], workers: int | None = None
 ) -> dict[tuple[str, int, float], tuple[float, float]]:
     """(scheme, n, eta) -> (p_suc, p_hr) by brute-force simulation."""
-    jobs = [(scheme, n, eta, term_cap) for scheme, n, eta in sorted(set(cases))]
+    jobs = sorted(set(cases))
     count = worker_count(workers)
     if count == 1 or len(jobs) <= 1:
         results = [_oracle_case(job) for job in jobs]
@@ -213,7 +217,7 @@ def _exact_form_note(scheme: str, metric: str, n: int, eta: float, simulated: fl
         label = "(2 - eta^2)^-N" if scheme == "sc" else "eta^2N / (2 - eta^2)^N"
     else:
         return ""
-    if abs(reference - simulated) <= VERIFY_TOL:
+    if agrees(reference, simulated):
         return f"simulation matches {label} = {fmt(reference)}"
     return ""
 
@@ -224,14 +228,13 @@ def verify_suite(
     schemes: Sequence[str] = SCHEMES,
     sc_phr_uncorrected: bool = False,
     workers: int | None = None,
-    term_cap: int | None = DEFAULT_TERM_BUDGET,
 ) -> list[VerificationRow]:
     """Compare closed-form metrics against brute-force simulation.
 
     Three rows (p_suc, p_hr, h_eff) per (scheme, N, eta) case.  A row
-    passes when |analytic - simulated| <= 1e-9.  Rows where the simulation
-    instead matches the alternative exact-form expressions carry a note
-    saying so.  ``sc_phr_uncorrected`` swaps the sc herald-probability
+    passes when analytic and simulated agree to a relative 1e-9 (see
+    :func:`agrees`).  Rows where the simulation instead matches the
+    alternative exact-form expressions carry a note saying so.  ``sc_phr_uncorrected`` swaps the sc herald-probability
     reference for its uncorrected variant (divisor 2^N instead of 2^2N).
     """
     for n in n_list:
@@ -245,7 +248,7 @@ def verify_suite(
 
     cases = [(s, n, e) for s in schemes for n in n_list for e in eta_list]
     try:
-        simulated = oracle_metrics_map(cases, workers=workers, term_cap=term_cap)
+        simulated = oracle_metrics_map(cases, workers=workers)
     except TermBudgetError as exc:
         raise TermBudgetError(f"verification aborted: {exc}") from exc
 

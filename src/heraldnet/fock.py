@@ -32,9 +32,6 @@ ROLES = ("retained", "detector", "environment", "internal")
 # Monomial: sorted tuple of (mode index, occupation), occupation >= 1.
 Monomial = tuple[tuple[int, int], ...]
 
-VACUUM: Monomial = ()
-
-
 class RegistryError(ValueError):
     """Raised for duplicate registrations or cross-registry mixups."""
 
@@ -103,14 +100,8 @@ class ModeRegistry:
     def modes(self) -> Sequence[Mode]:
         return tuple(self._modes)
 
-    def by_role(self, role: str) -> tuple[Mode, ...]:
-        return tuple(m for m in self._modes if m.role == role)
-
     def __len__(self) -> int:
         return len(self._modes)
-
-
-register_mode = ModeRegistry.register  # free-function alias; prefer the method.
 
 
 @dataclass
@@ -122,17 +113,6 @@ class PhotonicState:
 
     def __post_init__(self) -> None:
         self.terms = {m: complex(a) for m, a in self.terms.items() if abs(a) > PRUNE_TOL}
-
-    def scaled(self, factor: complex) -> "PhotonicState":
-        return PhotonicState(self.registry, {m: a * factor for m, a in self.terms.items()})
-
-    def plus(self, other: "PhotonicState") -> "PhotonicState":
-        if other.registry is not self.registry:
-            raise RegistryError("cannot add states from different registries")
-        out = dict(self.terms)
-        for m, a in other.terms.items():
-            out[m] = out.get(m, 0j) + a
-        return PhotonicState(self.registry, out)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -173,6 +153,18 @@ def state_from_creation_product(
     return PhotonicState(registry, {monomial_from_counts(counts): complex(amplitude)})
 
 
+def with_photons(state: PhotonicState, counts: Mapping[int, int]) -> PhotonicState:
+    """Every monomial of ``state`` times ``counts[i]`` extra creation
+    operators on mode ``i``; amplitudes are unchanged."""
+    out: dict[Monomial, complex] = {}
+    for monomial, amp in state.terms.items():
+        merged = dict(monomial)
+        for idx, k in counts.items():
+            merged[idx] = merged.get(idx, 0) + k
+        out[monomial_from_counts(merged)] = amp
+    return PhotonicState(state.registry, out)
+
+
 def _monomial_weight(monomial: Monomial) -> float:
     w = 1.0
     for _, k in monomial:
@@ -198,37 +190,3 @@ def inner_product(left: PhotonicState, right: PhotonicState) -> complex:
         if b is not None:
             acc += a.conjugate() * b * _monomial_weight(m)
     return acc
-
-
-def _restricted(monomial: Monomial, indices: frozenset[int]) -> Monomial:
-    return tuple((i, k) for i, k in monomial if i in indices)
-
-
-def project_pattern(
-    state: PhotonicState, measured_modes: Sequence[Mode], occupations: Sequence[int]
-) -> PhotonicState:
-    """Unnormalized sub-state whose occupation on ``measured_modes`` matches
-    ``occupations`` entry by entry.
-
-    Amplitudes are untouched and the measured modes stay inside the surviving
-    monomials; modes outside ``measured_modes`` are unconstrained.
-    """
-    if len(measured_modes) != len(occupations):
-        raise ValueError("one occupation count is needed per measured mode")
-    indices = frozenset(m.index for m in measured_modes)
-    target = monomial_from_counts(
-        {m.index: k for m, k in zip(measured_modes, occupations)}
-    )
-    kept = {m: a for m, a in state.terms.items() if _restricted(m, indices) == target}
-    return PhotonicState(state.registry, kept)
-
-
-def marginal_probability(
-    state: PhotonicState, measured_modes: Sequence[Mode], occupations: Sequence[int]
-) -> float:
-    """Probability of one exact occupation pattern on a mode subset.
-
-    The state must be normalized; the probability is the squared norm of the
-    matching sub-state, so patterns over any fixed subset sum to one.
-    """
-    return norm_squared(project_pattern(state, measured_modes, occupations))

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fock import PhotonicState, inner_product, norm_squared, project_pattern
+from .fock import PhotonicState, inner_product, norm_squared, with_photons
 from .optics import LinearMap, apply, compose_maps
 from .schemes import SchemeBuild, SchemeSpec
 
@@ -72,7 +72,7 @@ def detector_rotation(spec: SchemeSpec) -> LinearMap:
     return LinearMap(spec.registry, columns)
 
 
-def detection_ready_state(build: SchemeBuild, term_cap: int | None = DEFAULT_TERM_BUDGET) -> PhotonicState:
+def detection_ready_state(build: SchemeBuild) -> PhotonicState:
     """Evolve through the full network and align detector slots with the
     measurement basis so occupation projections implement the detection.
 
@@ -81,13 +81,11 @@ def detection_ready_state(build: SchemeBuild, term_cap: int | None = DEFAULT_TER
     the result is identical to applying the rotation separately.
     """
     stages = list(build.circuit.stages)
-    if build.spec.detection_basis == "DA" and stages:
+    if build.spec.detection_basis == "DA":
         stages[-1] = compose_maps(stages[-1], detector_rotation(build.spec))
     state = build.state
     for stage in stages:
-        state = apply(stage, state, term_cap=term_cap)
-    if build.spec.detection_basis == "DA" and not stages:
-        state = apply(detector_rotation(build.spec), state, term_cap=term_cap)
+        state = apply(stage, state, term_cap=DEFAULT_TERM_BUDGET)
     return state
 
 
@@ -99,14 +97,6 @@ def _target_signature(pattern: tuple[str, ...]) -> tuple[int, ...]:
         else:
             occs.extend((0, 1))
     return tuple(occs)
-
-
-def pattern_projection(
-    ready: PhotonicState, spec: SchemeSpec, pattern: tuple[str, ...]
-) -> PhotonicState:
-    """Unnormalized conditional state for one click pattern."""
-    detector_modes = [m for pair in spec.detector_stations for m in pair]
-    return project_pattern(ready, detector_modes, _target_signature(pattern))
 
 
 @dataclass(frozen=True)
@@ -174,45 +164,29 @@ class Metrics:
         return self.p_suc / self.p_hr
 
 
-def _tensor_with_counts(state: PhotonicState, extra: dict[int, int]) -> PhotonicState:
-    out = {}
-    for monomial, amp in state.terms.items():
-        counts = dict(monomial)
-        for idx, k in extra.items():
-            counts[idx] = counts.get(idx, 0) + k
-        out[tuple(sorted(counts.items()))] = amp
-    return PhotonicState(state.registry, out)
-
-
-def analyze_patterns(
-    build: SchemeBuild, term_cap: int | None = DEFAULT_TERM_BUDGET
-) -> list[PatternOutcome]:
+def analyze_patterns(build: SchemeBuild) -> list[PatternOutcome]:
     """One pass over the evolved state, bucketed by detector signature."""
     spec = build.spec
-    ready = detection_ready_state(build, term_cap=term_cap)
-
     detector_indices = [m.index for pair in spec.detector_stations for m in pair]
+    n_slots = len(detector_indices)
+    d_min = len(spec.registry) - n_slots
+    if detector_indices != list(range(d_min, d_min + n_slots)):
+        raise ValueError(
+            "detector modes must be the last registered modes, in station order"
+        )
+    ready = detection_ready_state(build)
     env_indices = {m.index for m in spec.environment_modes}
 
+    # Detector modes come last in the registry, so their entries form a
+    # suffix of every sorted monomial; scan backwards to read the signature.
     buckets: dict[tuple[int, ...], dict] = {}
-    d_min = min(detector_indices)
-    n_slots = len(detector_indices)
-    if detector_indices == list(range(d_min, d_min + n_slots)):
-        # The builders register detector modes last, so their entries form
-        # a suffix of every sorted monomial; scan backwards instead of
-        # building a per-monomial lookup table.
-        for monomial, amp in ready.terms.items():
-            sig = [0] * n_slots
-            for idx, occ in reversed(monomial):
-                if idx < d_min:
-                    break
-                sig[idx - d_min] = occ
-            buckets.setdefault(tuple(sig), {})[monomial] = amp
-    else:
-        for monomial, amp in ready.terms.items():
-            counts = dict(monomial)
-            signature = tuple(counts.get(i, 0) for i in detector_indices)
-            buckets.setdefault(signature, {})[monomial] = amp
+    for monomial, amp in ready.terms.items():
+        sig = [0] * n_slots
+        for idx, occ in reversed(monomial):
+            if idx < d_min:
+                break
+            sig[idx - d_min] = occ
+        buckets.setdefault(tuple(sig), {})[monomial] = amp
 
     outcomes = []
     for pattern in enumerate_patterns(spec.n_parties, spec.detection_basis):
@@ -221,7 +195,7 @@ def analyze_patterns(
         probability = norm_squared(conditional)
 
         extra = {idx: occ for idx, occ in zip(detector_indices, _target_signature(pattern)) if occ}
-        bras = tuple(_tensor_with_counts(s, extra) for s in spec.ghz_pair)
+        bras = tuple(with_photons(s, extra) for s in spec.ghz_pair)
         amplitudes = tuple(inner_product(bra, conditional) for bra in bras)
 
         histogram: dict[int, float] = {}
@@ -244,10 +218,8 @@ def analyze_patterns(
     return outcomes
 
 
-def compute_metrics(
-    build: SchemeBuild, term_cap: int | None = DEFAULT_TERM_BUDGET
-) -> Metrics:
-    outcomes = analyze_patterns(build, term_cap=term_cap)
+def compute_metrics(build: SchemeBuild) -> Metrics:
+    outcomes = analyze_patterns(build)
     return Metrics(
         scheme=build.spec.scheme,
         n_parties=build.spec.n_parties,
@@ -257,26 +229,12 @@ def compute_metrics(
     )
 
 
-def herald_probability(build: SchemeBuild) -> float:
-    return compute_metrics(build).p_hr
-
-
-def success_probability(build: SchemeBuild) -> float:
-    return compute_metrics(build).p_suc
-
-
-def heralding_efficiency(build: SchemeBuild) -> float:
-    return compute_metrics(build).h_eff
-
-
-def false_herald_breakdown(
-    build: SchemeBuild, term_cap: int | None = DEFAULT_TERM_BUDGET
-) -> list[PatternOutcome]:
+def false_herald_breakdown(build: SchemeBuild) -> list[PatternOutcome]:
     """Per-pattern report, most probable pattern first.
 
     A "false herald" is a click pattern accepted by the detectors while one
     or more photons leaked into the environment; the histogram column shows
     how much of each pattern's probability comes from each leak size.
     """
-    outcomes = analyze_patterns(build, term_cap=term_cap)
+    outcomes = analyze_patterns(build)
     return sorted(outcomes, key=lambda o: (-o.probability, o.pattern))

@@ -63,13 +63,11 @@ class LinearMap:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered sequence of stages applied left to right."""
+    """Ordered sequence of stages, applied left to right by
+    :func:`heraldnet.heralding.detection_ready_state`."""
 
     registry: ModeRegistry
     stages: tuple[LinearMap, ...]
-
-    def __iter__(self):
-        return iter(self.stages)
 
 
 def merge_maps(maps: Sequence[LinearMap]) -> LinearMap:
@@ -215,22 +213,16 @@ def rewire(registry: ModeRegistry, label_map: Mapping[str, str]) -> LinearMap:
 # ----------------------------------------------------------------------
 
 def apply(
-    transform: LinearMap | Circuit,
+    transform: LinearMap,
     state: PhotonicState,
     term_cap: int | None = None,
 ) -> PhotonicState:
-    """Apply a map or circuit to a state by exact monomial expansion.
+    """Apply one map to a state by exact monomial expansion.
 
     Raises :class:`TermBudgetError` if the number of distinct monomials ever
     exceeds ``term_cap`` and :class:`ModeCollisionError` if an occupied
     unmapped mode collides with one of the map's outputs.
     """
-    if isinstance(transform, Circuit):
-        out = state
-        for stage in transform.stages:
-            out = apply(stage, out, term_cap=term_cap)
-        return out
-
     if transform.registry is not state.registry:
         raise RegistryError("map and state use different registries")
     columns = transform.columns

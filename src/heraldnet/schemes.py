@@ -34,7 +34,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .fock import Mode, ModeRegistry, PhotonicState, state_from_creation_product, superpose
+from .fock import (
+    Mode,
+    ModeRegistry,
+    PhotonicState,
+    state_from_creation_product,
+    superpose,
+    with_photons,
+)
 from .optics import (
     Circuit,
     LinearMap,
@@ -154,8 +161,8 @@ def bell_initial_state(registry: ModeRegistry, n: int) -> PhotonicState:
         ch, cv = registry.get(f"c{i}", "H"), registry.get(f"c{i}", "V")
         state = superpose(
             [
-                (r, _append(state, (bh, cv))),
-                (r, _append(state, (bv, ch))),
+                (r, with_photons(state, {bh.index: 1, cv.index: 1})),
+                (r, with_photons(state, {bv.index: 1, ch.index: 1})),
             ]
         )
     return state
@@ -170,18 +177,6 @@ def single_photon_initial_state(registry: ModeRegistry, n: int) -> PhotonicState
     return state_from_creation_product(registry, modes)
 
 
-def _append(state: PhotonicState, modes: tuple[Mode, ...]) -> PhotonicState:
-    extra = state_from_creation_product(state.registry, list(modes))
-    extra_monomial = next(iter(extra.terms))
-    out: dict = {}
-    for monomial, amp in state.terms.items():
-        counts = dict(monomial)
-        for idx, k in extra_monomial:
-            counts[idx] = counts.get(idx, 0) + k
-        out[tuple(sorted(counts.items()))] = amp
-    return PhotonicState(state.registry, out)
-
-
 # ----------------------------------------------------------------------
 # Shared GHZ bookkeeping
 # ----------------------------------------------------------------------
@@ -192,7 +187,9 @@ def _diagonal_string(pairs: list[tuple[Mode, Mode]], sign: float) -> PhotonicSta
     state = state_from_creation_product(registry, [])
     r = 1.0 / math.sqrt(2.0)
     for h, v in pairs:
-        state = superpose([(r, _append(state, (h,))), (sign * r, _append(state, (v,)))])
+        state = superpose(
+            [(r, with_photons(state, {h.index: 1})), (sign * r, with_photons(state, {v.index: 1}))]
+        )
     return state
 
 

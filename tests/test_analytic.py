@@ -14,7 +14,6 @@ from heraldnet.analytic import (
     RootBracketError,
     asymptotic_chord,
     chord_length,
-    closed_forms,
     closed_h_eff,
     closed_p_hr,
     closed_p_suc,
@@ -108,14 +107,6 @@ class TestSpotValues:
         assert exact_h_eff("sc", 2, 0.9) == pytest.approx(1.0 / 1.4161, abs=1e-12)
         assert exact_h_eff("sd", 2, 0.9) == pytest.approx(0.6561 / 1.4161, abs=1e-12)
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_forms_bundle_matches_functions(self, scheme):
-        forms = closed_forms(scheme)
-        assert forms.scheme == scheme
-        assert forms.p_suc(3, 0.8) == closed_p_suc(scheme, 3, 0.8)
-        assert forms.p_hr(3, 0.8) == closed_p_hr(scheme, 3, 0.8)
-        assert forms.h_eff(3, 0.8) == closed_h_eff(scheme, 3, 0.8)
-
 
 class TestValidation:
     @pytest.mark.parametrize(
@@ -128,6 +119,14 @@ class TestValidation:
             lambda: lhv_threshold(1),
             lambda: crossover_radius(1),
             lambda: crossover_radius(7, alpha=0.0),
+            lambda: crossover_radius(7, alpha=math.nan),
+            lambda: crossover_radius(7, alpha=math.inf),
+            lambda: crossover_radius(7, tol=math.nan),
+            lambda: crossover_radius(7, tol=math.inf),
+            lambda: asymptotic_chord(math.nan),
+            lambda: asymptotic_chord(math.inf),
+            lambda: eta_of_length(math.nan, 1.0),
+            lambda: eta_of_length(0.023, math.inf),
         ],
     )
     def test_rejects_bad_arguments(self, call):
@@ -199,6 +198,12 @@ class TestCrossoverRadius:
     def test_root_residual_is_small(self):
         root = crossover_radius(11, tol=1e-9)
         assert abs(crossover_margin(root, 11, ALPHA)) < 1e-9
+
+    def test_tolerance_below_float_spacing_terminates(self):
+        # the bracket cannot shrink below adjacent floats; bisection must stop there
+        assert crossover_radius(7, tol=1e-300) == pytest.approx(
+            crossover_radius(7, tol=1e-12), abs=1e-9
+        )
 
     def test_default_tolerance_constant(self):
         assert DEFAULT_ROOT_TOL_KM == 1e-6

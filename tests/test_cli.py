@@ -29,7 +29,9 @@ class TestParsers:
         with pytest.raises(CliError):
             parse_parties(text)
 
-    @pytest.mark.parametrize("text", ["0:50", "5:1:1", "0:2:-1", "x:y:z"])
+    @pytest.mark.parametrize(
+        "text", ["0:50", "5:1:1", "0:2:-1", "x:y:z", "0:inf:1", "nan:1:1", "0:1:nan"]
+    )
     def test_bad_radius_grids(self, text):
         with pytest.raises(CliError):
             parse_radius_grid(text)
@@ -226,6 +228,23 @@ class TestCrossover:
         assert code == 0
         value = float(out.splitlines()[1].split(",")[1])
         assert value == pytest.approx(3.3071233372, abs=1e-8)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crossover", "--parties", "7", "--alpha", "nan"],
+            ["crossover", "--parties", "7", "--alpha", "inf"],
+            ["crossover", "--parties", "7..8", "--tol", "nan"],
+            ["sweep", "--radius-grid", "0:inf:1"],
+        ],
+    )
+    def test_non_finite_input_is_rejected(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestVerify:

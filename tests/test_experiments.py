@@ -18,6 +18,7 @@ from heraldnet.experiments import (
     SWEEP_CSV_HEADER,
     VERIFY_TOL,
     CrossoverPoint,
+    VerificationRow,
     analytic_record,
     crossover_curve,
     fmt,
@@ -167,6 +168,15 @@ class TestVerifySuite:
                 abs(row.analytic - row.simulated), abs=1e-15
             )
             assert row.passed == (row.abs_diff <= VERIFY_TOL)
+
+    def test_pass_criterion_is_relative(self):
+        # at sd N=4, eta=0.5 the success rate is about 1.2e-7, so an absolute
+        # 1e-9 would accept a 0.1% error; the relative check must not
+        row = VerificationRow("sd-n4-eta0.5", "sd", 4, 0.5, "p_suc", 1.2e-7, 1.2e-7 * (1 + 1e-3))
+        assert row.abs_diff < VERIFY_TOL
+        assert not row.passed
+        close = VerificationRow("sd-n4-eta0.5", "sd", 4, 0.5, "p_suc", 1.2e-7, 1.2e-7 * (1 + 1e-12))
+        assert close.passed
 
     def test_uncorrected_reference_flag(self):
         rows = {

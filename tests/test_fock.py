@@ -1,6 +1,4 @@
-"""Sparse state algebra: registry, norms, inner products, projections."""
-
-import math
+"""Sparse state algebra: registry, norms, inner products, photon appends."""
 
 import pytest
 from hypothesis import given
@@ -8,14 +6,13 @@ from hypothesis import strategies as st
 
 from heraldnet.fock import (
     ModeRegistry,
-    PhotonicState,
     RegistryError,
     inner_product,
     monomial_from_counts,
     norm_squared,
-    project_pattern,
     state_from_creation_product,
     superpose,
+    with_photons,
 )
 
 
@@ -115,42 +112,19 @@ def test_monomial_from_counts_sorts_and_drops_zeros():
     assert monomial_from_counts({3: 1, 1: 2, 5: 0}) == ((1, 2), (3, 1))
 
 
-def test_project_pattern_keeps_matching_terms(registry):
-    bh, bv = registry.get("b1", "H"), registry.get("b1", "V")
-    s = superpose(
-        [
-            (1 / math.sqrt(2), state_from_creation_product(registry, [bh])),
-            (1 / math.sqrt(2), state_from_creation_product(registry, [bv])),
-        ]
-    )
-    kept = project_pattern(s, [bh, bv], (1, 0))
-    assert norm_squared(kept) == pytest.approx(0.5)
-    empty = project_pattern(s, [bh, bv], (1, 1))
-    assert len(empty) == 0
-
-
-def test_projection_leaves_amplitudes_untouched(registry):
-    bh = registry.get("b1", "H")
-    ch = registry.get("c1", "H")
-    s = state_from_creation_product(registry, [bh, ch], amplitude=0.25j)
-    kept = project_pattern(s, [bh], (1,))
-    assert kept.terms == s.terms
-
-
-def test_norm_is_sum_over_pattern_sectors(registry):
-    # splitting a state by occupation of one mode partitions its norm
-    bh, bv = registry.get("b1", "H"), registry.get("b1", "V")
+def test_with_photons_appends_to_every_term(registry):
+    bh, bv, ch = registry.get("b1", "H"), registry.get("b1", "V"), registry.get("c1", "H")
     s = superpose(
         [
             (0.6, state_from_creation_product(registry, [bh])),
             (0.8j, state_from_creation_product(registry, [bv])),
         ]
     )
-    total = norm_squared(s)
-    split = norm_squared(project_pattern(s, [bh], (1,))) + norm_squared(
-        project_pattern(s, [bh], (0,))
-    )
-    assert split == pytest.approx(total)
+    out = with_photons(s, {bh.index: 1, ch.index: 2})
+    assert out.terms == {
+        ((bh.index, 2), (ch.index, 2)): 0.6,
+        ((bh.index, 1), (bv.index, 1), (ch.index, 2)): 0.8j,
+    }
 
 
 @given(st.lists(st.complex_numbers(max_magnitude=3, allow_nan=False), min_size=1, max_size=6))
@@ -167,15 +141,6 @@ def test_pruning_drops_tiny_amplitudes(registry):
     m = registry.get("b1", "H")
     s = state_from_creation_product(registry, [m], amplitude=1e-16)
     assert len(s) == 0
-
-
-def test_scaled_and_plus(registry):
-    m = registry.get("b1", "H")
-    s = state_from_creation_product(registry, [m])
-    doubled = s.scaled(2.0)
-    assert norm_squared(doubled) == pytest.approx(4.0)
-    summed = s.plus(s)
-    assert norm_squared(summed) == pytest.approx(4.0)
 
 
 def test_states_from_different_registries_do_not_mix(registry):

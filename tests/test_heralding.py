@@ -21,9 +21,6 @@ from heraldnet.heralding import (
     detector_rotation,
     enumerate_patterns,
     false_herald_breakdown,
-    herald_probability,
-    heralding_efficiency,
-    success_probability,
 )
 from heraldnet.optics import apply
 from heraldnet.schemes import SCHEMES, SchemeBuild, build_bc, build_sc, build_scheme, build_sd
@@ -133,13 +130,6 @@ class TestMetricValues:
         assert metrics.p_hr == pytest.approx(exact_p_hr(scheme, 2, eta), abs=1e-10)
         assert metrics.h_eff == pytest.approx(exact_h_eff(scheme, 2, eta), abs=1e-10)
 
-    def test_wrappers_agree_with_metrics(self):
-        build = build_sc(2, 0.9)
-        metrics = compute_metrics(build)
-        assert herald_probability(build) == pytest.approx(metrics.p_hr, abs=1e-12)
-        assert success_probability(build) == pytest.approx(metrics.p_suc, abs=1e-12)
-        assert heralding_efficiency(build) == pytest.approx(metrics.h_eff, abs=1e-12)
-
     def test_ring_scheme_two_party_values(self):
         metrics = compute_metrics(build_sd(2, 0.9))
         assert metrics.p_suc == pytest.approx(0.05380840125, abs=1e-10)
@@ -245,6 +235,14 @@ class TestBasisChange:
 
 
 class TestErrors:
+    def test_detectors_must_be_the_last_registered_modes(self):
+        build = build_sc(2, 0.9)
+        spec = dataclasses.replace(
+            build.spec, detector_stations=tuple(reversed(build.spec.detector_stations))
+        )
+        with pytest.raises(ValueError, match="last registered modes"):
+            analyze_patterns(SchemeBuild(build.state, build.circuit, spec))
+
     def test_metrics_reject_success_above_herald(self):
         with pytest.raises(ValueError):
             Metrics("bc", 2, 0.9, p_suc=0.3, p_hr=0.2)

@@ -17,7 +17,6 @@ from heraldnet.fock import (
     superpose,
 )
 from heraldnet.optics import (
-    Circuit,
     LinearMap,
     TermBudgetError,
     apply,
@@ -190,14 +189,6 @@ def test_compose_matches_sequential_application():
     assert amplitudes(apply(fused, state)) == pytest.approx(amplitudes(sequential))
 
 
-def test_circuit_applies_stages_in_order():
-    r, pairs, _ = make_registry()
-    c = pairs["c1"][0]
-    circuit = Circuit(r, (phase_plate(c, 0.3), phase_plate(c, 0.5)))
-    out = apply(circuit, state_from_creation_product(r, [c]))
-    assert amplitudes(out)[((c.index, 1),)] == pytest.approx(cmath.exp(0.8j))
-
-
 def test_collision_with_occupied_unmapped_output():
     r, pairs, _ = make_registry()
     a, b = pairs["a1"][0], pairs["b1"][0]
@@ -275,5 +266,5 @@ def test_unitary_pipeline_preserves_norm(amps, eta):
     stage2 = merge_maps(
         [loss_channel(c[0], env[0], eta), loss_channel(c[1], env[1], eta)]
     )
-    out = apply(Circuit(r, (stage1, stage2)), state)
+    out = apply(stage2, apply(stage1, state))
     assert norm_squared(out) == pytest.approx(before, abs=1e-10)
