@@ -20,7 +20,11 @@ from .schemes import DEFAULT_ALPHA, SCHEMES
 
 QUOTED_CHORD_REFERENCE_KM = 15.71  # widely quoted figure, kept for comparison
 
-BRACKET_LIMIT_KM = 1e5
+# The crossover margin depends on alpha*R alone, so the root search runs in that
+# product: from below every root (0.076 at N = 7) but far above where the margin
+# is rounding noise, up to the equivalent of 1e5 km at the default attenuation.
+BRACKET_START_ALPHA_R = 0.01
+BRACKET_LIMIT_ALPHA_R = 2300.0
 DEFAULT_ROOT_TOL_KM = 1e-6
 
 
@@ -159,13 +163,14 @@ def crossover_margin(radius_km: float, n: int, alpha: float) -> float:
     """g(R) = e^(-2 alpha R) + e^(4 alpha R sin(pi/N)) - 2.
 
     The sc and sd heralding efficiencies coincide where g vanishes; g < 0
-    means sd is ahead, g > 0 means sc is ahead.
+    means sd is ahead, g > 0 means sc is ahead.  Saturates to +inf where
+    the growing exponential overflows.
     """
-    return (
-        math.exp(-2.0 * alpha * radius_km)
-        + math.exp(4.0 * alpha * radius_km * math.sin(math.pi / n))
-        - 2.0
-    )
+    try:
+        growth = math.exp(4.0 * alpha * radius_km * math.sin(math.pi / n))
+    except OverflowError:
+        return math.inf
+    return math.exp(-2.0 * alpha * radius_km) + growth - 2.0
 
 
 def crossover_radius(
@@ -175,7 +180,8 @@ def crossover_radius(
 
     Zero when 2 sin(pi/N) >= 1 (N <= 6): the margin is then non-negative
     for every radius, so the curves only touch at R = 0.  Otherwise the
-    unique positive root is bracketed by doubling from 1 km and bisected
+    unique positive root is bracketed by doubling from 1 km (or from
+    alpha*R = ``BRACKET_START_ALPHA_R``, if that is farther) and bisected
     to within ``tol``, or until the bracket is two adjacent floats.
     """
     if n < 2:
@@ -190,12 +196,13 @@ def crossover_radius(
     if 2.0 * math.sin(math.pi / n) >= 1.0 - 1e-12:
         return 0.0
 
-    lo, hi = 0.0, 1.0
+    lo, hi = 0.0, max(1.0, BRACKET_START_ALPHA_R / alpha)
     while crossover_margin(hi, n, alpha) < 0.0:
         lo, hi = hi, 2.0 * hi
-        if hi > BRACKET_LIMIT_KM:
+        if alpha * hi > BRACKET_LIMIT_ALPHA_R:
             raise RootBracketError(
-                f"no sign change of the crossover margin below {BRACKET_LIMIT_KM} km"
+                "no sign change of the crossover margin below "
+                f"{BRACKET_LIMIT_ALPHA_R / alpha} km"
             )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

@@ -27,8 +27,10 @@ from .experiments import (
     verify_suite,
     worker_count,
     write_sweep_csv,
+    write_verification_json,
 )
-from .heralding import OracleSizeError, UndefinedMetricError, check_oracle_size, compute_metrics
+from .heralding import check_oracle_size, compute_metrics
+from .optics import TermBudgetError
 from .schemes import DEFAULT_ALPHA, SCHEMES, NetworkGeometry, build_scheme, eta_for_geometry
 
 DEFAULT_SWEEP_PARTIES = (4, 7, 13, 20)
@@ -78,14 +80,17 @@ def resolve_schemes(choice: str) -> list[str]:
     return list(SCHEMES) if choice == "all" else [choice]
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_alpha(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
                         help="fibre attenuation per km (default %(default)s)")
+
+
+def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...] = ()) -> None:
+    """Output and config options; ``--format`` offers ``formats``, the first as default."""
     parser.add_argument("--out", help="write output to this path instead of stdout")
-    parser.add_argument("--format", choices=("text", "csv", "json"), default=None,
-                        help="output format (default depends on the subcommand)")
-    parser.add_argument("--tol", type=float, default=1e-6,
-                        help="root-finding tolerance in km for crossover radii")
+    if formats:
+        parser.add_argument("--format", choices=formats, default=None,
+                            help=f"output format (default {formats[0]})")
     parser.add_argument("--config", help="JSON file of defaults, as written by --dump-config")
     parser.add_argument("--dump-config", action="store_true",
                         help="print the resolved configuration as JSON and exit")
@@ -104,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--parties", default="3", help="party count INT or range MIN..MAX")
     p_sim.add_argument("--radius", type=float, help="ring radius in km (channel lengths follow)")
     p_sim.add_argument("--eta", type=float, help="channel transmission, overrides geometry")
-    _add_common(p_sim)
+    _add_alpha(p_sim)
+    _add_common(p_sim, ("text", "csv", "json"))
 
     p_sweep = sub.add_parser("sweep", help="analytic metrics over a radius grid, CSV")
     p_sweep.add_argument("--scheme", choices=(*SCHEMES, "all"), default="all")
@@ -112,11 +118,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="party count INT or MIN..MAX (default 4, 7, 13, 20)")
     p_sweep.add_argument("--radius-grid", default=DEFAULT_RADIUS_GRID,
                          help="radius grid START:STOP:STEP in km (default %(default)s)")
-    _add_common(p_sweep)
+    _add_alpha(p_sweep)
+    _add_common(p_sweep, ("csv", "json"))
 
     p_cross = sub.add_parser("crossover", help="crossing radius and chord per party count")
     p_cross.add_argument("--parties", default="2..30", help="party range MIN..MAX")
-    _add_common(p_cross)
+    _add_alpha(p_cross)
+    p_cross.add_argument("--tol", type=float, default=1e-6,
+                         help="root-finding tolerance in km for crossover radii")
+    _add_common(p_cross, ("text", "csv", "json"))
 
     p_verify = sub.add_parser("verify", help="closed forms against brute-force simulation")
     p_verify.add_argument("--scheme", choices=(*SCHEMES, "all"), default="all")
@@ -194,8 +204,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         check_oracle_size(n)
     if args.eta is not None and not 0.0 <= args.eta <= 1.0:
         raise CliError(f"eta must lie in [0, 1], got {args.eta}")
-    if args.eta == 0.0:
-        raise CliError("heralding efficiency undefined at eta=0")
 
     rows = []
     for scheme in resolve_schemes(args.scheme):
@@ -205,8 +213,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             else:
                 geometry = NetworkGeometry(n, args.radius, args.alpha)
                 eta, radius = eta_for_geometry(scheme, geometry), args.radius
-                if eta == 0.0:
-                    raise CliError("heralding efficiency undefined at eta=0")
+            if eta == 0.0:
+                raise CliError("heralding efficiency undefined at eta=0")
             metrics = compute_metrics(build_scheme(scheme, n, eta))
             common = {"scheme": scheme, "n_parties": n, "radius_km": radius,
                       "alpha": args.alpha, "eta": eta, "h_th": lhv_threshold(n)}
@@ -265,13 +273,7 @@ def cmd_crossover(args: argparse.Namespace) -> int:
         if fmt_choice == "json":
             json.dump({
                 "points": [p._asdict() for p in points],
-                "asymptote": {
-                    "alpha": asym.alpha,
-                    "analytic_limit_km": asym.analytic_limit_km,
-                    "reference_n": asym.reference_n,
-                    "numeric_at_reference_n_km": asym.numeric_at_reference_n_km,
-                    "quoted_reference_km": asym.quoted_reference_km,
-                },
+                "asymptote": dataclasses.asdict(asym),
             }, stream, indent=2)
             stream.write("\n")
             return
@@ -302,14 +304,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         sc_phr_uncorrected=args.sc_phr_uncorrected,
         workers=worker_count(args.workers),
     )
-    report = verification_report(rows)
-
-    def render(stream: TextIO) -> None:
-        json.dump(report, stream, indent=2)
-        stream.write("\n")
-
-    _emit(args, render)
-    summary = report["summary"]
+    _emit(args, lambda stream: write_verification_json(rows, stream))
+    summary = verification_report(rows)["summary"]
     print(
         f"verified {summary['passed']}/{summary['total']} comparisons within 1e-09; "
         f"{summary['failed']} failed",
@@ -332,10 +328,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             "verify": cmd_verify,
         }[args.command]
         return handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OracleSizeError, UndefinedMetricError, ValueError) as exc:
+    # OracleSizeError is a ValueError; UndefinedMetricError and RootBracketError are arithmetic
+    except (CliError, ValueError, ArithmeticError, TermBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

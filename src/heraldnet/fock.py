@@ -2,8 +2,8 @@
 
 States are kept as sparse maps from creation-operator monomials to complex
 amplitudes.  A monomial is a product of creation operators acting on the
-global vacuum, stored as a sorted tuple of ``(mode_index, occupation)``
-pairs with every occupation strictly positive.  Nothing is ever represented
+global vacuum, packed into one int key with the occupation of mode ``i`` in
+bits ``BITS*i`` to ``BITS*i + BITS-1``.  Nothing is ever represented
 densely, so a network with dozens of modes but only a few thousand occupied
 configurations stays cheap.
 
@@ -16,6 +16,9 @@ Conventions:
   a single term with amplitude ``a`` and occupations ``k_1..k_m`` is
   ``|a|^2 * k_1! * ... * k_m!``.
 * Amplitudes with magnitude below ``PRUNE_TOL`` are dropped on construction.
+* A monomial holds at most ``MAX_OCCUPATION`` photons, so no occupation
+  carries into the next mode's bits: photons enter only through
+  :func:`with_photons`, which checks the total, and linear maps conserve it.
 """
 
 from __future__ import annotations
@@ -26,11 +29,13 @@ from typing import Iterable, Mapping, Sequence
 
 PRUNE_TOL = 1e-14
 
+# Bits per mode in a packed monomial key: one hex digit per mode, which
+# occupations() and _monomial_weight() read directly.
+BITS = 4
+MAX_OCCUPATION = (1 << BITS) - 1
+
 POLARIZATIONS = ("H", "V")
 ROLES = ("retained", "detector", "environment", "internal")
-
-# Monomial: sorted tuple of (mode index, occupation), occupation >= 1.
-Monomial = tuple[tuple[int, int], ...]
 
 class RegistryError(ValueError):
     """Raised for duplicate registrations or cross-registry mixups."""
@@ -109,13 +114,18 @@ class PhotonicState:
     """Sparse superposition of creation-operator monomials on vacuum."""
 
     registry: ModeRegistry
-    terms: dict[Monomial, complex] = field(default_factory=dict)
+    amplitudes: dict[int, complex] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.terms = {m: complex(a) for m, a in self.terms.items() if abs(a) > PRUNE_TOL}
+        self.amplitudes = {k: complex(a) for k, a in self.amplitudes.items() if abs(a) > PRUNE_TOL}
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.amplitudes)
+
+    @property
+    def terms(self) -> dict[tuple[tuple[int, int], ...], complex]:
+        """Read-only view keyed by ascending ``(mode, occupation)`` pairs, for tests."""
+        return {tuple(occupations(key)): a for key, a in self.amplitudes.items()}
 
 
 def superpose(pairs: Iterable[tuple[complex, PhotonicState]]) -> PhotonicState:
@@ -124,21 +134,28 @@ def superpose(pairs: Iterable[tuple[complex, PhotonicState]]) -> PhotonicState:
     if not pairs:
         raise ValueError("superpose needs at least one state")
     registry = pairs[0][1].registry
-    out: dict[Monomial, complex] = {}
+    out: dict[int, complex] = {}
     for coeff, state in pairs:
         if state.registry is not registry:
             raise RegistryError("cannot superpose states from different registries")
-        for m, a in state.terms.items():
-            out[m] = out.get(m, 0j) + coeff * a
+        for key, a in state.amplitudes.items():
+            out[key] = out.get(key, 0j) + coeff * a
     return PhotonicState(registry, out)
 
 
-def monomial_from_counts(counts: Mapping[int, int]) -> Monomial:
-    items = tuple(sorted((i, k) for i, k in counts.items() if k))
-    for _, k in items:
-        if k < 0:
-            raise ValueError("negative occupation")
-    return items
+def pack(counts: Mapping[int, int]) -> int:
+    """Monomial key with ``counts[i]`` photons in mode ``i``."""
+    key = 0
+    for idx, k in counts.items():
+        if not 0 <= k <= MAX_OCCUPATION:
+            raise ValueError(f"occupation must lie in [0, {MAX_OCCUPATION}], got {k}")
+        key += k << (BITS * idx)
+    return key
+
+
+def occupations(key: int) -> list[tuple[int, int]]:
+    """The ``(mode index, occupation)`` pairs of a key, ascending, occupation >= 1."""
+    return [(i, int(digit, 16)) for i, digit in enumerate(reversed(f"{key:x}")) if digit != "0"]
 
 
 def state_from_creation_product(
@@ -150,43 +167,43 @@ def state_from_creation_product(
         if registry.mode(mode.index) is not mode:
             raise RegistryError("mode does not belong to this registry")
         counts[mode.index] = counts.get(mode.index, 0) + 1
-    return PhotonicState(registry, {monomial_from_counts(counts): complex(amplitude)})
+    return with_photons(PhotonicState(registry, {0: amplitude}), counts)
 
 
 def with_photons(state: PhotonicState, counts: Mapping[int, int]) -> PhotonicState:
     """Every monomial of ``state`` times ``counts[i]`` extra creation
     operators on mode ``i``; amplitudes are unchanged."""
-    out: dict[Monomial, complex] = {}
-    for monomial, amp in state.terms.items():
-        merged = dict(monomial)
-        for idx, k in counts.items():
-            merged[idx] = merged.get(idx, 0) + k
-        out[monomial_from_counts(merged)] = amp
-    return PhotonicState(state.registry, out)
+    added = sum(counts.values())
+    for key in state.amplitudes:
+        if added + sum(k for _, k in occupations(key)) > MAX_OCCUPATION:
+            raise ValueError(f"a monomial holds at most {MAX_OCCUPATION} photons")
+    extra = pack(counts)
+    return PhotonicState(state.registry, {key + extra: a for key, a in state.amplitudes.items()})
 
 
-def _monomial_weight(monomial: Monomial) -> float:
+def _monomial_weight(key: int) -> float:
+    """prod(occupation!) of a monomial: its squared norm at unit amplitude."""
     w = 1.0
-    for _, k in monomial:
-        if k > 1:
-            w *= math.factorial(k)
+    for digit in f"{key:x}":
+        if digit > "1":
+            w *= math.factorial(int(digit, 16))
     return w
 
 
 def norm_squared(state: PhotonicState) -> float:
     """<s|s> with bosonic factorials: sum |a|^2 * prod(occupation!)."""
-    return sum(abs(a) ** 2 * _monomial_weight(m) for m, a in state.terms.items())
+    return sum(abs(a) ** 2 * _monomial_weight(key) for key, a in state.amplitudes.items())
 
 
 def inner_product(left: PhotonicState, right: PhotonicState) -> complex:
     """Hermitian form <left|right>, conjugate-linear in ``left``."""
     if left.registry is not right.registry:
         raise RegistryError("inner product across different registries")
-    if len(right.terms) < len(left.terms):
+    if len(right) < len(left):
         return inner_product(right, left).conjugate()
     acc = 0j
-    for m, a in left.terms.items():
-        b = right.terms.get(m)
+    for key, a in left.amplitudes.items():
+        b = right.amplitudes.get(key)
         if b is not None:
-            acc += a.conjugate() * b * _monomial_weight(m)
+            acc += a.conjugate() * b * _monomial_weight(key)
     return acc

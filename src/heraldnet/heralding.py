@@ -17,7 +17,16 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fock import PhotonicState, inner_product, norm_squared, with_photons
+from .fock import (
+    BITS,
+    MAX_OCCUPATION,
+    PhotonicState,
+    _monomial_weight,
+    inner_product,
+    norm_squared,
+    pack,
+    with_photons,
+)
 from .optics import LinearMap, apply, compose_maps
 from .schemes import SchemeBuild, SchemeSpec
 
@@ -89,16 +98,6 @@ def detection_ready_state(build: SchemeBuild) -> PhotonicState:
     return state
 
 
-def _target_signature(pattern: tuple[str, ...]) -> tuple[int, ...]:
-    occs: list[int] = []
-    for letter in pattern:
-        if letter in ("H", "D"):
-            occs.extend((1, 0))
-        else:
-            occs.extend((0, 1))
-    return tuple(occs)
-
-
 @dataclass(frozen=True)
 class PatternOutcome:
     """Everything the metrics need about a single click pattern.
@@ -168,43 +167,35 @@ def analyze_patterns(build: SchemeBuild) -> list[PatternOutcome]:
     """One pass over the evolved state, bucketed by detector signature."""
     spec = build.spec
     detector_indices = [m.index for pair in spec.detector_stations for m in pair]
-    n_slots = len(detector_indices)
-    d_min = len(spec.registry) - n_slots
-    if detector_indices != list(range(d_min, d_min + n_slots)):
+    d_min = len(spec.registry) - len(detector_indices)
+    if detector_indices != list(range(d_min, len(spec.registry))):
         raise ValueError(
             "detector modes must be the last registered modes, in station order"
         )
     ready = detection_ready_state(build)
-    env_indices = {m.index for m in spec.environment_modes}
+    env_shifts = [BITS * m.index for m in spec.environment_modes]
 
-    # Detector modes come last in the registry, so their entries form a
-    # suffix of every sorted monomial; scan backwards to read the signature.
-    buckets: dict[tuple[int, ...], dict] = {}
-    for monomial, amp in ready.terms.items():
-        sig = [0] * n_slots
-        for idx, occ in reversed(monomial):
-            if idx < d_min:
-                break
-            sig[idx - d_min] = occ
-        buckets.setdefault(tuple(sig), {})[monomial] = amp
+    # Detector modes come last, so a key's bits from d_shift up are its click signature.
+    d_shift = BITS * d_min
+    buckets: dict[int, dict[int, complex]] = {}
+    for key, amp in ready.amplitudes.items():
+        buckets.setdefault(key >> d_shift, {})[key] = amp
 
+    letters = BASIS_LETTERS[spec.detection_basis]
     outcomes = []
     for pattern in enumerate_patterns(spec.n_parties, spec.detection_basis):
-        bucket = buckets.get(_target_signature(pattern), {})
-        conditional = PhotonicState(spec.registry, dict(bucket))
+        clicks = {detector_indices[2 * i + letters.index(c)]: 1 for i, c in enumerate(pattern)}
+        bucket = buckets.get(pack(clicks) >> d_shift, {})
+        conditional = PhotonicState(spec.registry, bucket)
         probability = norm_squared(conditional)
 
-        extra = {idx: occ for idx, occ in zip(detector_indices, _target_signature(pattern)) if occ}
-        bras = tuple(with_photons(s, extra) for s in spec.ghz_pair)
+        bras = tuple(with_photons(s, clicks) for s in spec.ghz_pair)
         amplitudes = tuple(inner_product(bra, conditional) for bra in bras)
 
         histogram: dict[int, float] = {}
-        for monomial, amp in bucket.items():
-            env_total = sum(occ for idx, occ in monomial if idx in env_indices)
-            weight = abs(amp) ** 2
-            for idx, occ in monomial:
-                if occ > 1:
-                    weight *= math.factorial(occ)
+        for key, amp in bucket.items():
+            env_total = sum((key >> shift) & MAX_OCCUPATION for shift in env_shifts)
+            weight = abs(amp) ** 2 * _monomial_weight(key)
             histogram[env_total] = histogram.get(env_total, 0.0) + weight
 
         outcomes.append(
@@ -227,14 +218,3 @@ def compute_metrics(build: SchemeBuild) -> Metrics:
         p_suc=sum(o.success_probability for o in outcomes),
         p_hr=sum(o.probability for o in outcomes),
     )
-
-
-def false_herald_breakdown(build: SchemeBuild) -> list[PatternOutcome]:
-    """Per-pattern report, most probable pattern first.
-
-    A "false herald" is a click pattern accepted by the detectors while one
-    or more photons leaked into the environment; the histogram column shows
-    how much of each pattern's probability comes from each leak size.
-    """
-    outcomes = analyze_patterns(build)
-    return sorted(outcomes, key=lambda o: (-o.probability, o.pattern))

@@ -30,12 +30,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .fock import (
+    BITS,
+    MAX_OCCUPATION,
     Mode,
     ModeCollisionError,
     ModeRegistry,
-    Monomial,
     PhotonicState,
     RegistryError,
+    pack,
 )
 
 ISOMETRY_TOL = 1e-12
@@ -225,44 +227,37 @@ def apply(
     """
     if transform.registry is not state.registry:
         raise RegistryError("map and state use different registries")
-    columns = transform.columns
-    outputs = transform.output_indices()
-    new_terms: dict[Monomial, complex] = {}
-    for monomial, amp in state.terms.items():
-        # poly maps partial output monomials to amplitudes for this monomial.
-        poly: dict[Monomial, complex] = {(): amp}
-        for idx, count in monomial:
-            col = columns.get(idx)
-            if col is None:
-                if idx in outputs:
-                    mode = state.registry.mode(idx)
-                    raise ModeCollisionError(
-                        f"occupied mode {mode.spatial_label}/{mode.polarization} is unmapped "
-                        "but appears among the map outputs"
-                    )
-                col = ((idx, 1.0 + 0j),)
-            for _ in range(count):
-                nxt: dict[Monomial, complex] = {}
+    in_mask = pack(dict.fromkeys(transform.columns, MAX_OCCUPATION))
+    out_mask = pack(dict.fromkeys(transform.output_indices(), MAX_OCCUPATION))
+    # Mapped modes ascending, columns in stored order: fixes the order of every sum.
+    steps = [
+        (BITS * idx, tuple((1 << (BITS * out), coeff) for out, coeff in col))
+        for idx, col in sorted(transform.columns.items())
+    ]
+    new_terms: dict[int, complex] = {}
+    for key, amp in state.amplitudes.items():
+        rest = key & ~in_mask
+        clash = rest & out_mask
+        if clash:
+            mode = state.registry.mode(((clash & -clash).bit_length() - 1) // BITS)
+            raise ModeCollisionError(
+                f"occupied mode {mode.spatial_label}/{mode.polarization} is unmapped "
+                "but appears among the map outputs"
+            )
+        # poly maps partial output keys to amplitudes for this monomial.
+        poly: dict[int, complex] = {rest: amp}
+        for shift, col in steps:
+            for _ in range((key >> shift) & MAX_OCCUPATION):
+                nxt: dict[int, complex] = {}
                 for partial, pamp in poly.items():
-                    for out_idx, coeff in col:
-                        # inline insertion of one photon at out_idx into the
-                        # sorted tuple; this loop dominates total runtime
-                        key = None
-                        for pos, (i, c) in enumerate(partial):
-                            if i == out_idx:
-                                key = partial[:pos] + ((i, c + 1),) + partial[pos + 1 :]
-                                break
-                            if i > out_idx:
-                                key = partial[:pos] + ((out_idx, 1),) + partial[pos:]
-                                break
-                        if key is None:
-                            key = partial + ((out_idx, 1),)
-                        val = nxt.get(key)
-                        nxt[key] = pamp * coeff if val is None else val + pamp * coeff
+                    for step, coeff in col:
+                        out = partial + step
+                        val = nxt.get(out)
+                        nxt[out] = pamp * coeff if val is None else val + pamp * coeff
                 poly = nxt
-        for key, value in poly.items():
-            cur = new_terms.get(key)
-            new_terms[key] = value if cur is None else cur + value
+        for out, value in poly.items():
+            cur = new_terms.get(out)
+            new_terms[out] = value if cur is None else cur + value
         if term_cap is not None and len(new_terms) > term_cap:
             raise TermBudgetError(f"expansion exceeded the term cap of {term_cap}")
     return PhotonicState(state.registry, new_terms)

@@ -205,6 +205,15 @@ class TestCrossoverRadius:
             crossover_radius(7, tol=1e-12), abs=1e-9
         )
 
+    @pytest.mark.parametrize("alpha", [1e-17, 1e-300, 1e3, 1e300])
+    def test_radius_scales_inversely_with_attenuation(self, alpha):
+        # the margin depends on alpha*R alone; far from the default alpha the
+        # bracket must start and stop in alpha*R, not in km
+        reference = ALPHA * crossover_radius(7, tol=1e-12)
+        assert alpha * crossover_radius(7, alpha, tol=5e-324) == pytest.approx(
+            reference, rel=1e-9
+        )
+
     def test_default_tolerance_constant(self):
         assert DEFAULT_ROOT_TOL_KM == 1e-6
 

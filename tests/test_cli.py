@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from heraldnet import heralding
 from heraldnet.cli import CliError, main, parse_parties, parse_radius_grid
 from heraldnet.experiments import SWEEP_CSV_HEADER
 
@@ -228,6 +229,58 @@ class TestCrossover:
         assert code == 0
         value = float(out.splitlines()[1].split(",")[1])
         assert value == pytest.approx(3.3071233372, abs=1e-8)
+
+
+class TestExtremeAttenuation:
+    def test_huge_alpha_saturates_the_margin(self, capsys):
+        code, out, err = run(capsys, ["crossover", "--parties", "2", "--alpha", "1e300"])
+        assert code == 0
+        assert err == ""
+        assert out.splitlines()[1].split() == ["2", "0", "0"]
+
+    def test_tiny_alpha_scales_the_bracket(self, capsys):
+        code, out, err = run(
+            capsys, ["crossover", "--parties", "7", "--alpha", "1e-10", "--format", "csv"]
+        )
+        assert code == 0
+        assert err == ""
+        # the margin depends on alpha*R alone: R_c scales as 1/alpha
+        radius = float(out.splitlines()[1].split(",")[1])
+        assert radius == pytest.approx(3.3071233372 * 0.023 / 1e-10, rel=1e-6)
+
+
+class TestErrorExits:
+    def test_term_budget_is_an_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(heralding, "DEFAULT_TERM_BUDGET", 10)
+        code, out, err = run(
+            capsys, ["simulate", "--scheme", "sc", "--parties", "2", "--eta", "0.9"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: expansion exceeded the term cap of 10\n"
+
+    def test_root_bracket_failure_is_an_error_line(self, capsys):
+        # the root's alpha*R grows like N ln(2)/(4 pi): past the bracket limit here
+        code, out, err = run(capsys, ["crossover", "--parties", "50000..50000"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: no sign change of the crossover margin below 100000.0 km\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--format", "json"],
+            ["verify", "--alpha", "0.05"],
+            ["verify", "--tol", "1e-3"],
+            ["simulate", "--eta", "0.9", "--tol", "1e-3"],
+            ["sweep", "--tol", "1e-3"],
+            ["sweep", "--format", "text"],
+        ],
+    )
+    def test_options_a_subcommand_ignores_are_refused(self, capsys, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+        capsys.readouterr()
 
 
 class TestNonFiniteInput:

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from heraldnet import experiments
 from heraldnet.analytic import (
     closed_h_eff,
     closed_p_suc,
@@ -23,6 +24,7 @@ from heraldnet.experiments import (
     crossover_curve,
     fmt,
     oracle_metrics_map,
+    pool_size,
     sweep_vs_radius,
     verification_report,
     verify_suite,
@@ -234,6 +236,37 @@ class TestOracleHelpers:
         assert worker_count(5) == 5
         monkeypatch.setenv("HERALDNET_THREADS", "junk")
         assert worker_count() == 1
+
+    @pytest.mark.parametrize(
+        "requested, n_jobs, cpus, expected",
+        [(100_000, 24, 2, 2), (4, 1, 8, 1), (3, 24, 8, 3), (8, 24, None, 1), (2, 0, 8, 1)],
+    )
+    def test_pool_size_is_clamped_to_jobs_and_cpus(self, requested, n_jobs, cpus, expected):
+        assert pool_size(requested, n_jobs, cpus) == expected
+
+    def test_oracle_pool_never_exceeds_the_clamp(self, monkeypatch):
+        # a stand-in pool records its size and runs inline: no process starts
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        cases = [("bc", 2, 1.0), ("bc", 2, 0.9), ("bc", 2, 0.7)]
+        table = oracle_metrics_map(cases, workers=100_000)
+        assert sizes == [2]
+        assert table == oracle_metrics_map(cases, workers=1)
 
     def test_fmt_is_compact(self):
         assert fmt(0.5) == "0.5"

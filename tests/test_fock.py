@@ -5,11 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heraldnet.fock import (
+    MAX_OCCUPATION,
     ModeRegistry,
     RegistryError,
     inner_product,
-    monomial_from_counts,
     norm_squared,
+    occupations,
+    pack,
     state_from_creation_product,
     superpose,
     with_photons,
@@ -108,8 +110,27 @@ def test_inner_product_of_orthogonal_monomials_vanishes(registry):
     assert inner_product(s, t) == 0
 
 
-def test_monomial_from_counts_sorts_and_drops_zeros():
-    assert monomial_from_counts({3: 1, 1: 2, 5: 0}) == ((1, 2), (3, 1))
+def test_pack_and_occupations_round_trip():
+    key = pack({3: 1, 1: 2, 5: 0})
+    assert key == (2 << 4) + (1 << 12)
+    assert occupations(key) == [(1, 2), (3, 1)]
+    assert pack({}) == 0 and occupations(0) == []
+
+
+@pytest.mark.parametrize("count", [-1, MAX_OCCUPATION + 1])
+def test_pack_rejects_occupations_outside_one_nibble(count):
+    with pytest.raises(ValueError):
+        pack({2: count})
+
+
+def test_photon_entry_points_stop_before_a_nibble_overflows(registry):
+    m = registry.get("b1", "H")
+    full = state_from_creation_product(registry, [m] * MAX_OCCUPATION)
+    assert full.terms == {((m.index, MAX_OCCUPATION),): 1.0}
+    with pytest.raises(ValueError):
+        state_from_creation_product(registry, [m] * (MAX_OCCUPATION + 1))
+    with pytest.raises(ValueError):
+        with_photons(full, {registry.get("c1", "H").index: 1})
 
 
 def test_with_photons_appends_to_every_term(registry):

