@@ -182,7 +182,9 @@ def crossover_radius(
     for every radius, so the curves only touch at R = 0.  Otherwise the
     unique positive root is bracketed by doubling from 1 km (or from
     alpha*R = ``BRACKET_START_ALPHA_R``, if that is farther) and bisected
-    to within ``tol``, or until the bracket is two adjacent floats.
+    to within ``tol``, or until the bracket is two adjacent floats.  Raises
+    :class:`RootBracketError` if no sign change is found, or if alpha is so
+    small that the bracket would pass the largest float.
     """
     if n < 2:
         raise ValueError("need at least two parties")
@@ -197,13 +199,17 @@ def crossover_radius(
         return 0.0
 
     lo, hi = 0.0, max(1.0, BRACKET_START_ALPHA_R / alpha)
-    while crossover_margin(hi, n, alpha) < 0.0:
+    while math.isfinite(hi) and crossover_margin(hi, n, alpha) < 0.0:
         lo, hi = hi, 2.0 * hi
-        if alpha * hi > BRACKET_LIMIT_ALPHA_R:
+        if math.isfinite(hi) and alpha * hi > BRACKET_LIMIT_ALPHA_R:
             raise RootBracketError(
                 "no sign change of the crossover margin below "
                 f"{BRACKET_LIMIT_ALPHA_R / alpha} km"
             )
+    if not math.isfinite(hi):
+        raise RootBracketError(
+            f"attenuation {alpha} per km puts the crossover beyond the float range"
+        )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):

@@ -200,13 +200,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if (args.eta is None) == (args.radius is None):
         raise CliError("exactly one of --eta or --radius is required")
     parties = parse_parties(args.parties)
-    for n in parties:
-        check_oracle_size(n)
+    schemes = resolve_schemes(args.scheme)
+    for scheme in schemes:
+        for n in parties:
+            check_oracle_size(scheme, n)
     if args.eta is not None and not 0.0 <= args.eta <= 1.0:
         raise CliError(f"eta must lie in [0, 1], got {args.eta}")
 
     rows = []
-    for scheme in resolve_schemes(args.scheme):
+    for scheme in schemes:
         for n in parties:
             if args.eta is not None:
                 eta, radius = args.eta, None

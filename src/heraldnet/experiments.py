@@ -241,14 +241,14 @@ def verify_suite(
     alternative exact-form expressions carry a note saying so.  ``sc_phr_uncorrected`` swaps the sc herald-probability
     reference for its uncorrected variant (divisor 2^N instead of 2^2N).
     """
-    for n in n_list:
-        check_oracle_size(n)
-    for eta in eta_list:
-        if not 0.0 < eta <= 1.0:
-            raise ValueError(f"verification needs eta in (0, 1], got {eta}")
     for scheme in schemes:
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
+        for n in n_list:
+            check_oracle_size(scheme, n)
+    for eta in eta_list:
+        if not 0.0 < eta <= 1.0:
+            raise ValueError(f"verification needs eta in (0, 1], got {eta}")
 
     cases = [(s, n, e) for s in schemes for n in n_list for e in eta_list]
     simulated = oracle_metrics_map(cases, workers=workers)

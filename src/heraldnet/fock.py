@@ -15,7 +15,10 @@ Conventions:
 * Monomials are products of bare creation operators, so the squared norm of
   a single term with amplitude ``a`` and occupations ``k_1..k_m`` is
   ``|a|^2 * k_1! * ... * k_m!``.
-* Amplitudes with magnitude below ``PRUNE_TOL`` are dropped on construction.
+* A sum whose magnitude is at most ``CANCEL_TOL`` times the sum of its
+  parts' magnitudes is rounding residue of a cancellation and is stored as an
+  exact zero (:func:`cancel_add`); states drop exact zeros on construction
+  and nothing else, so an amplitude is never lost for being small.
 * A monomial holds at most ``MAX_OCCUPATION`` photons, so no occupation
   carries into the next mode's bits: photons enter only through
   :func:`with_photons`, which checks the total, and linear maps conserve it.
@@ -27,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-PRUNE_TOL = 1e-14
+CANCEL_TOL = 1e-12
 
 # Bits per mode in a packed monomial key: one hex digit per mode, which
 # occupations() and _monomial_weight() read directly.
@@ -117,7 +120,7 @@ class PhotonicState:
     amplitudes: dict[int, complex] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.amplitudes = {k: complex(a) for k, a in self.amplitudes.items() if abs(a) > PRUNE_TOL}
+        self.amplitudes = {k: complex(a) for k, a in self.amplitudes.items() if a}
 
     def __len__(self) -> int:
         return len(self.amplitudes)
@@ -126,6 +129,12 @@ class PhotonicState:
     def terms(self) -> dict[tuple[tuple[int, int], ...], complex]:
         """Read-only view keyed by ascending ``(mode, occupation)`` pairs, for tests."""
         return {tuple(occupations(key)): a for key, a in self.amplitudes.items()}
+
+
+def cancel_add(a: complex, b: complex) -> complex:
+    """``a + b``, or an exact zero where the two cancel to rounding residue."""
+    total = a + b
+    return total if abs(total) > CANCEL_TOL * (abs(a) + abs(b)) else 0j
 
 
 def superpose(pairs: Iterable[tuple[complex, PhotonicState]]) -> PhotonicState:
@@ -139,7 +148,7 @@ def superpose(pairs: Iterable[tuple[complex, PhotonicState]]) -> PhotonicState:
         if state.registry is not registry:
             raise RegistryError("cannot superpose states from different registries")
         for key, a in state.amplitudes.items():
-            out[key] = out.get(key, 0j) + coeff * a
+            out[key] = cancel_add(out.get(key, 0j), coeff * a)
     return PhotonicState(registry, out)
 
 

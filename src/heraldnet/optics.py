@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .fock import (
     BITS,
@@ -37,6 +37,7 @@ from .fock import (
     ModeRegistry,
     PhotonicState,
     RegistryError,
+    cancel_add,
     pack,
 )
 
@@ -195,21 +196,6 @@ def phase_plate(mode: Mode, phase: float) -> LinearMap:
     return LinearMap(_shared_registry(mode), {mode.index: ((mode.index, cmath.exp(1j * phase)),)})
 
 
-def rewire(registry: ModeRegistry, label_map: Mapping[str, str]) -> LinearMap:
-    """Relabel spatial paths by a bijection, both polarizations at once."""
-    if set(label_map.keys()) != set(label_map.values()):
-        raise RegistryError("rewire must permute a fixed set of spatial labels")
-    if len(set(label_map.values())) != len(label_map):
-        raise RegistryError("rewire target labels must be distinct")
-    columns: dict[int, Column] = {}
-    for src, dst in label_map.items():
-        for pol in ("H", "V"):
-            src_mode = registry.get(src, pol)
-            dst_mode = registry.get(dst, pol)
-            columns[src_mode.index] = ((dst_mode.index, 1.0 + 0j),)
-    return LinearMap(registry, columns)
-
-
 # ----------------------------------------------------------------------
 # Application and checks
 # ----------------------------------------------------------------------
@@ -218,8 +204,21 @@ def apply(
     transform: LinearMap,
     state: PhotonicState,
     term_cap: int | None = None,
+    stations: Sequence[int] | None = None,
 ) -> PhotonicState:
     """Apply one map to a state by exact monomial expansion.
+
+    ``stations`` heralds the result: each entry is the packed nibble mask of
+    one detector station's (H, V) modes (see :func:`heraldnet.fock.pack`).
+    Occupations only grow during the expansion, so a monomial none of whose
+    photons can reach some station is skipped whole, a partial monomial
+    never takes a column entry into a station that already holds a photon,
+    and only outputs with every station occupied are kept.  The result is
+    the heralded part of the full output; every kept amplitude is the same
+    sum, in the same order, as without ``stations``.
+
+    Like terms are merged with :func:`heraldnet.fock.cancel_add`, so a
+    cancellation leaves an exact zero and no key.
 
     Raises :class:`TermBudgetError` if the number of distinct monomials ever
     exceeds ``term_cap`` and :class:`ModeCollisionError` if an occupied
@@ -227,12 +226,25 @@ def apply(
     """
     if transform.registry is not state.registry:
         raise RegistryError("map and state use different registries")
+    outputs = transform.output_indices()
     in_mask = pack(dict.fromkeys(transform.columns, MAX_OCCUPATION))
-    out_mask = pack(dict.fromkeys(transform.output_indices(), MAX_OCCUPATION))
+    out_mask = pack(dict.fromkeys(outputs, MAX_OCCUPATION))
+    stations = tuple(stations or ())
+    # station_of[out]: the mask of the station output mode ``out`` belongs to, or 0.
+    station_of = {
+        out: next((m for m in stations if (m >> (BITS * out)) & MAX_OCCUPATION), 0)
+        for out in outputs
+    }
     # Mapped modes ascending, columns in stored order: fixes the order of every sum.
     steps = [
-        (BITS * idx, tuple((1 << (BITS * out), coeff) for out, coeff in col))
+        (BITS * idx, tuple((1 << (BITS * out), coeff, station_of[out]) for out, coeff in col))
         for idx, col in sorted(transform.columns.items())
+    ]
+    # feeds[s]: the modes whose photons can end up in station s.
+    feeds = [
+        (m & ~in_mask) | pack({idx: MAX_OCCUPATION for idx, col in transform.columns.items()
+                               if any(station_of[out] == m for out, _ in col)})
+        for m in stations
     ]
     new_terms: dict[int, complex] = {}
     for key, amp in state.amplitudes.items():
@@ -244,20 +256,26 @@ def apply(
                 f"occupied mode {mode.spatial_label}/{mode.polarization} is unmapped "
                 "but appears among the map outputs"
             )
+        if feeds and not all(key & f for f in feeds):
+            continue
         # poly maps partial output keys to amplitudes for this monomial.
         poly: dict[int, complex] = {rest: amp}
         for shift, col in steps:
             for _ in range((key >> shift) & MAX_OCCUPATION):
                 nxt: dict[int, complex] = {}
                 for partial, pamp in poly.items():
-                    for step, coeff in col:
+                    for step, coeff, station in col:
+                        if station and partial & station:
+                            continue
                         out = partial + step
                         val = nxt.get(out)
-                        nxt[out] = pamp * coeff if val is None else val + pamp * coeff
+                        nxt[out] = pamp * coeff if val is None else cancel_add(val, pamp * coeff)
                 poly = nxt
         for out, value in poly.items():
+            if stations and not all(out & m for m in stations):
+                continue
             cur = new_terms.get(out)
-            new_terms[out] = value if cur is None else cur + value
+            new_terms[out] = value if cur is None else cancel_add(cur, value)
         if term_cap is not None and len(new_terms) > term_cap:
             raise TermBudgetError(f"expansion exceeded the term cap of {term_cap}")
     return PhotonicState(state.registry, new_terms)

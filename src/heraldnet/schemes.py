@@ -51,7 +51,6 @@ from .optics import (
     pbs_da,
     pbs_hv,
     phase_plate,
-    rewire,
 )
 
 SCHEMES = ("bc", "sc", "sd")
@@ -309,10 +308,10 @@ def build_sd(n: int, eta: float) -> SchemeBuild:
 
     input_pbs = [pbs_da(a[i], b[i], c[i]) for i in range(n)]
     loss = merge_maps([_loss_stage(b, f, eta), _loss_stage(c, g, eta)])
-    shift = rewire(registry, {f"c{i}": f"c{_nxt(i, n)}" for i in range(1, n + 1)})
-    combine = [pbs_hv(b[i], c[i], e[i], d[i]) for i in range(n)]
+    # Party i combines its own b with the c its predecessor sent (c[-1] is c_n).
+    combine = [pbs_hv(b[i], c[i - 1], e[i], d[i]) for i in range(n)]
 
-    stages = (merge_maps(input_pbs), loss, shift, merge_maps(combine))
+    stages = (merge_maps(input_pbs), loss, merge_maps(combine))
     spec = SchemeSpec(
         scheme="sd",
         n_parties=n,

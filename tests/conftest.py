@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import pytest
 
-from heraldnet.heralding import Metrics, compute_metrics
+from heraldnet.fock import BITS, MAX_OCCUPATION
+from heraldnet.heralding import Metrics, compute_metrics, detector_rotation
+from heraldnet.optics import apply
 from heraldnet.schemes import build_scheme
 
 GRID_PARTIES = (2, 3, 4)
@@ -25,6 +27,27 @@ _oracle_cache: dict[tuple[str, int, float], Metrics] = {}
 
 # criterion number -> (title, [(label, passed, detail), ...], [difference line, ...])
 _acceptance: dict[int, tuple[str, list[tuple[str, bool, str]], list[str]]] = {}
+
+
+def explicit_evolution(build):
+    """The full output state: every circuit stage, then the detector rotation
+    for diagonal-basis detection, each applied on its own and unheralded."""
+    state = build.state
+    for stage in build.circuit.stages:
+        state = apply(stage, state)
+    if build.spec.detection_basis == "DA":
+        state = apply(detector_rotation(build.spec), state)
+    return state
+
+
+def heralded_part(build, state):
+    """The amplitudes of ``state`` with exactly one photon at every station."""
+    shifts = [(BITS * h.index, BITS * v.index) for h, v in build.spec.detector_stations]
+    return {
+        key: amp
+        for key, amp in state.amplitudes.items()
+        if all(((key >> h) & MAX_OCCUPATION) + ((key >> v) & MAX_OCCUPATION) == 1 for h, v in shifts)
+    }
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ import math
 
 import pytest
 
-from conftest import GRID_ETAS, GRID_PARTIES, GRID_SCHEMES
+from conftest import GRID_ETAS, GRID_PARTIES, GRID_SCHEMES, explicit_evolution
 from heraldnet.analytic import (
     asymptotic_chord,
     chord_length,
@@ -33,7 +33,7 @@ from heraldnet.analytic import (
 )
 from heraldnet.cli import main
 from heraldnet.fock import norm_squared
-from heraldnet.heralding import analyze_patterns, compute_metrics, detection_ready_state
+from heraldnet.heralding import analyze_patterns, compute_metrics
 from heraldnet.optics import is_isometry
 from heraldnet.schemes import build_bc, build_sc, build_scheme
 
@@ -397,8 +397,7 @@ class TestCriterion7:
     @pytest.mark.parametrize("scheme", GRID_SCHEMES)
     def test_norm_and_completeness(self, scheme, record_acceptance):
         build = build_scheme(scheme, 2, 0.8)
-        ready = detection_ready_state(build)
-        norm = norm_squared(ready)
+        norm = norm_squared(explicit_evolution(build))
         ok_norm = abs(norm - 1.0) <= 1e-10
         record_acceptance(
             7, self.TITLE, f"{scheme} norm preserved", ok_norm, f"norm {norm:.12g}"

@@ -147,6 +147,34 @@ class TestSimulate:
         assert code == 1
         assert "capped at 6" in err
 
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["simulate", "--scheme", "sd", "--parties", "6", "--eta", "0.9"], "sd is capped at 5"),
+            (["simulate", "--scheme", "all", "--parties", "5..6", "--eta", "0.9"], "sd is capped at 5"),
+            (["verify", "--scheme", "sd", "--parties", "6"], "sd is capped at 5"),
+        ],
+    )
+    def test_simulation_cap_is_per_scheme(self, capsys, monkeypatch, argv, message):
+        # refused before any state is evolved: sd at N=6 would not fit in memory
+        def evolve(build):
+            raise AssertionError(f"evolved {build.spec.scheme} N={build.spec.n_parties}")
+
+        monkeypatch.setattr(heralding, "detection_ready_state", evolve)
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and message in err
+
+    def test_small_transmission_heralds(self, capsys):
+        # eta = e^(-0.023 * 300 * sqrt(3)) ~ 6.5e-6: every amplitude is tiny
+        code, out, err = run(
+            capsys, ["simulate", "--scheme", "sd", "--parties", "3", "--radius", "300"]
+        )
+        assert code == 0
+        assert err == ""
+        assert "sd" in out
+
     def test_unknown_scheme_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "--scheme", "qq", "--parties", "2", "--eta", "0.9"])
@@ -247,6 +275,12 @@ class TestExtremeAttenuation:
         # the margin depends on alpha*R alone: R_c scales as 1/alpha
         radius = float(out.splitlines()[1].split(",")[1])
         assert radius == pytest.approx(3.3071233372 * 0.023 / 1e-10, rel=1e-6)
+
+    def test_crossover_beyond_float_range_is_an_error(self, capsys):
+        code, out, err = run(capsys, ["crossover", "--parties", "7", "--alpha", "1e-320"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "float range" in err
 
 
 class TestErrorExits:

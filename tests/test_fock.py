@@ -1,5 +1,7 @@
 """Sparse state algebra: registry, norms, inner products, photon appends."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from heraldnet.fock import (
     superpose,
     with_photons,
 )
+from heraldnet.optics import LinearMap, apply
 
 
 @pytest.fixture
@@ -158,10 +161,24 @@ def test_norm_squared_matches_direct_sum(amps):
     assert norm_squared(state) == pytest.approx(sum(abs(a) ** 2 for a in amps), abs=1e-12)
 
 
-def test_pruning_drops_tiny_amplitudes(registry):
+def test_tiny_amplitudes_are_kept(registry):
     m = registry.get("b1", "H")
     s = state_from_creation_product(registry, [m], amplitude=1e-16)
-    assert len(s) == 0
+    assert s.terms == {((m.index, 1),): 1e-16}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4])
+def test_cancellation_inside_apply_leaves_no_key(registry, scale):
+    # Two-photon interference: the b2_H c1_H amplitudes cos^2 and -sin^2 of
+    # pi/4 cancel up to rounding, whatever the state's scale.
+    bh, bv = registry.get("b1", "H"), registry.get("b1", "V")
+    x, y = registry.get("b2", "H"), registry.get("c1", "H")
+    c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
+    assert c * c - s * s != 0.0
+    mixer = LinearMap(registry, {bh.index: ((x.index, c), (y.index, s)),
+                                 bv.index: ((x.index, -s), (y.index, c))})
+    out = apply(mixer, state_from_creation_product(registry, [bh, bv], amplitude=scale))
+    assert sorted(out.amplitudes) == sorted([pack({x.index: 2}), pack({y.index: 2})])
 
 
 def test_states_from_different_registries_do_not_mix(registry):

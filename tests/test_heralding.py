@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from conftest import explicit_evolution, heralded_part
 from heraldnet.analytic import closed_p_suc, exact_h_eff, exact_p_hr
 from heraldnet.fock import norm_squared
 from heraldnet.heralding import (
@@ -54,23 +55,28 @@ class TestPatternEnumeration:
 class TestDetectionPipeline:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_ready_state_is_normalized(self, scheme):
+        # every stage is an isometry, so the full (unheralded) evolution keeps the norm
         build = build_scheme(scheme, 2, 0.8)
-        assert norm_squared(detection_ready_state(build)) == pytest.approx(
+        assert norm_squared(explicit_evolution(build)) == pytest.approx(
             1.0, abs=1e-10
+        )
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("eta", [1.0, 0.8])
+    def test_ready_state_norm_is_herald_probability(self, scheme, eta):
+        build = build_scheme(scheme, 2, eta)
+        assert norm_squared(detection_ready_state(build)) == pytest.approx(
+            compute_metrics(build).p_hr, rel=1e-12
         )
 
     def test_fused_rotation_matches_explicit_rotation(self):
         # the production path folds the detector basis change into the last
-        # circuit stage; the explicit two-step path must give the same state
+        # circuit stage and heralds it; the explicit path applies every stage
+        # and the rotation in full, then keeps one photon per station
         build = build_sd(2, 0.9)
         fused = detection_ready_state(build)
-        state = build.state
-        for stage in build.circuit.stages:
-            state = apply(stage, state)
-        explicit = apply(detector_rotation(build.spec), state)
-        assert fused.terms.keys() == explicit.terms.keys()
-        for monomial, amp in fused.terms.items():
-            assert amp == pytest.approx(explicit.terms[monomial], abs=1e-12)
+        explicit = explicit_evolution(build)
+        assert fused.amplitudes == heralded_part(build, explicit)
 
     @pytest.mark.parametrize("builder", [build_bc, build_sc])
     def test_canonical_basis_needs_no_rotation(self, builder):
@@ -79,9 +85,7 @@ class TestDetectionPipeline:
         state = build.state
         for stage in build.circuit.stages:
             state = apply(stage, state)
-        assert fused.terms.keys() == state.terms.keys()
-        for monomial, amp in fused.terms.items():
-            assert amp == pytest.approx(state.terms[monomial], abs=1e-12)
+        assert fused.amplitudes == heralded_part(build, state)
 
     def test_rotation_is_self_inverse(self):
         build = build_sd(2, 0.9)
@@ -133,6 +137,20 @@ class TestMetricValues:
         metrics = compute_metrics(build_sd(2, 0.9))
         assert metrics.p_suc == pytest.approx(0.05380840125, abs=1e-10)
         assert metrics.p_hr == pytest.approx(0.11613790125, abs=1e-10)
+
+    @pytest.mark.parametrize(("n", "eta"), [(3, 0.003), (2, 1e-4)])
+    def test_small_transmission_keeps_every_amplitude(self, n, eta):
+        # p_suc is about 1e-32 here; an absolute pruning threshold zeroed it
+        metrics = compute_metrics(build_sd(n, eta))
+        assert math.isclose(metrics.p_suc, closed_p_suc("sd", n, eta), rel_tol=1e-9)
+        assert math.isclose(metrics.p_hr, exact_p_hr("sd", n, eta), rel_tol=1e-9)
+
+    def test_five_party_central_scheme(self):
+        # the reach the herald-first last stage opens up (about 1 s)
+        metrics = compute_metrics(build_sc(5, 0.9))
+        assert math.isclose(metrics.p_suc, closed_p_suc("sc", 5, 0.9), rel_tol=1e-9)
+        assert math.isclose(metrics.p_hr, exact_p_hr("sc", 5, 0.9), rel_tol=1e-9)
+        assert math.isclose(metrics.h_eff, exact_h_eff("sc", 5, 0.9), rel_tol=1e-9)
 
 
 class TestPatternOutcomes:
@@ -275,7 +293,10 @@ class TestErrors:
             outcome.feedforward_phase()
 
     def test_oracle_size_cap(self):
-        check_oracle_size(ORACLE_MAX_PARTIES)
-        with pytest.raises(OracleSizeError) as exc:
-            check_oracle_size(ORACLE_MAX_PARTIES + 1)
-        assert "closed-form" in str(exc.value)
+        assert ORACLE_MAX_PARTIES == {"bc": 6, "sc": 6, "sd": 5}
+        for scheme, cap in ORACLE_MAX_PARTIES.items():
+            check_oracle_size(scheme, cap)
+            with pytest.raises(OracleSizeError) as exc:
+                check_oracle_size(scheme, cap + 1)
+            assert "closed-form" in str(exc.value)
+            assert f"{scheme} is capped at {cap}" in str(exc.value)

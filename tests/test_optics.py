@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heraldnet.fock import (
+    MAX_OCCUPATION,
     ModeCollisionError,
     ModeRegistry,
     RegistryError,
     norm_squared,
+    pack,
     state_from_creation_product,
     superpose,
 )
@@ -28,7 +30,6 @@ from heraldnet.optics import (
     pbs_da,
     pbs_hv,
     phase_plate,
-    rewire,
 )
 
 R = 1.0 / math.sqrt(2.0)
@@ -154,22 +155,6 @@ def test_phase_plate_pi_flips_sign():
     assert amplitudes(out)[((c.index, 1),)] == pytest.approx(-1.0)
 
 
-def test_rewire_swaps_labels_on_both_polarizations():
-    r, pairs, _ = make_registry()
-    swap = rewire(r, {"b1": "c1", "c1": "b1"})
-    state = state_from_creation_product(r, [pairs["b1"][0], pairs["c1"][1]])
-    out = apply(swap, state)
-    amps = amplitudes(out)
-    key = tuple(sorted(((pairs["c1"][0].index, 1), (pairs["b1"][1].index, 1))))
-    assert amps[key] == pytest.approx(1.0)
-
-
-def test_rewire_requires_bijection():
-    r, pairs, _ = make_registry()
-    with pytest.raises(RegistryError):
-        rewire(r, {"b1": "c1", "a1": "c1"})
-
-
 def test_merge_maps_rejects_overlapping_inputs():
     r, pairs, _ = make_registry()
     p1 = phase_plate(pairs["c1"][0], 0.1)
@@ -196,6 +181,52 @@ def test_collision_with_occupied_unmapped_output():
     occupied = state_from_creation_product(r, [a, b])
     with pytest.raises(ModeCollisionError):
         apply(shift, occupied)
+
+
+def _station(*modes):
+    return pack({m.index: MAX_OCCUPATION for m in modes})
+
+
+def _split_to_stations(pairs):
+    # a1_H and b1_V each split evenly between stations d1 and e1.
+    a, b, d, e = pairs["a1"], pairs["b1"], pairs["d1"], pairs["e1"]
+    stage = merge_maps([bs_5050(a[0], d[0], e[0]), bs_5050(b[1], d[1], e[1])])
+    return stage, [_station(*d), _station(*e)]
+
+
+def test_stations_keep_exactly_the_heralded_part():
+    # Only the two-photon term can fill both stations; c1 is unmapped.
+    r, pairs, _ = make_registry()
+    a, b, c = pairs["a1"], pairs["b1"], pairs["c1"]
+    stage, stations = _split_to_stations(pairs)
+    state = superpose(
+        [
+            (0.6, state_from_creation_product(r, [a[0], b[1], c[0]])),
+            (0.64, state_from_creation_product(r, [a[0]])),
+            (0.48j, state_from_creation_product(r, [c[1]])),
+        ]
+    )
+    heralded = apply(stage, state, stations=stations)
+    full = apply(stage, state)
+    expected = {k: v for k, v in full.amplitudes.items() if all(k & m for m in stations)}
+    assert heralded.amplitudes == expected
+    assert (len(heralded), len(full)) == (2, 7)
+    assert norm_squared(heralded) == pytest.approx(0.36 * 0.5)
+
+
+def test_stations_drop_doubly_occupied_stations():
+    r, pairs, _ = make_registry()
+    a, b = pairs["a1"], pairs["b1"]
+    stage, stations = _split_to_stations(pairs)
+    state = state_from_creation_product(r, [a[0], b[1]])
+    heralded = apply(stage, state, stations=stations)
+    # d1_H d1_V and e1_H e1_V put two photons in one station.
+    assert len(apply(stage, state)) == 4 and len(heralded) == 2
+    for key in heralded.amplitudes:
+        assert all(bin(key & m).count("1") == 1 for m in stations)
+    assert norm_squared(heralded) == pytest.approx(0.5)
+    # Two photons cannot fill three stations.
+    assert apply(stage, state, stations=stations + [_station(*pairs["c1"])]).amplitudes == {}
 
 
 def test_term_budget_enforced():
