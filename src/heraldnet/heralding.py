@@ -27,14 +27,15 @@ from .fock import (
     pack,
     with_photons,
 )
-from .optics import LinearMap, apply, compose_maps
+from .optics import Herald, LinearMap, apply, compose_maps, feed_masks
 from .schemes import SchemeBuild, SchemeSpec
 
 # Exhaustive amplitude tracking is exponential in the party count; past these
 # sizes a single case needs minutes and gigabytes, so the drivers refuse it.
-# Measured on 2 cores, Python 3.11: bc N=6 0.1 s, sc N=6 16 s and 430 MB,
-# sd N=5 5 s and 750 MB; sd at N=6 would hold 20^6 terms after its loss stage.
-ORACLE_MAX_PARTIES = {"bc": 6, "sc": 6, "sd": 5}
+# Measured on 2 cores, Python 3.11: bc N=6 0.1 s, sc N=6 10 s and 370 MB,
+# sd N=6 0.8 s and 41 MB, sd N=7 5 s and 175 MB; sd at N=8 has 16 photons,
+# more than a packed key holds (MAX_OCCUPATION).
+ORACLE_MAX_PARTIES = {"bc": 6, "sc": 6, "sd": 7}
 DEFAULT_TERM_BUDGET = 10**8
 
 AMPLITUDE_TOL = 1e-12
@@ -89,10 +90,12 @@ def detection_ready_state(build: SchemeBuild) -> PhotonicState:
     to the measurement basis so occupation projections implement the
     detection.
 
-    Every stage is applied in turn; the last one is applied with the
-    detector stations as a herald (see :func:`heraldnet.optics.apply`), so
-    monomials without exactly one photon per station are never built.  The
-    squared norm of the result is the herald probability P_hr.
+    Every stage is applied with a herald (see :func:`heraldnet.optics.apply`):
+    a station's reach after a stage is every mode with a column entry, zero
+    or not, into the station in the composed later stages, so no numerical
+    cancellation can drop a key that heralds.  The last stage keeps exactly
+    one photon per station.  The result is the heralded part of the full
+    evolution, summed in the same order; its squared norm is P_hr.
 
     For diagonal-basis detection the basis rotation is composed into the
     final circuit stage, which saves one full pass over the largest state;
@@ -101,14 +104,19 @@ def detection_ready_state(build: SchemeBuild) -> PhotonicState:
     stages = list(build.circuit.stages)
     if build.spec.detection_basis == "DA":
         stages[-1] = compose_maps(stages[-1], detector_rotation(build.spec))
-    stations = [
+    stations = tuple(
         pack(dict.fromkeys((h.index, v.index), MAX_OCCUPATION))
         for h, v in build.spec.detector_stations
-    ]
+    )
+    heralds = [Herald(stations, final=True)]
+    later = stages[-1]
+    for stage in reversed(stages[:-1]):
+        heralds.append(Herald(feed_masks(later, stations)))
+        later = compose_maps(stage, later)
     state = build.state
-    for stage in stages[:-1]:
-        state = apply(stage, state, term_cap=DEFAULT_TERM_BUDGET)
-    return apply(stages[-1], state, term_cap=DEFAULT_TERM_BUDGET, stations=stations)
+    for stage, herald in zip(stages, reversed(heralds)):
+        state = apply(stage, state, term_cap=DEFAULT_TERM_BUDGET, herald=herald)
+    return state
 
 
 @dataclass(frozen=True)
@@ -140,9 +148,14 @@ class PatternOutcome:
         return self.success_probability / self.probability
 
     def feedforward_phase(self, tol: float = AMPLITUDE_TOL) -> float:
-        """Relative phase between the two GHZ branches, in [0, 2 pi)."""
+        """Relative phase between the two GHZ branches, in [0, 2 pi).
+
+        A branch is absent when its amplitude is at most ``tol`` times
+        sqrt(probability), the largest it can be for this pattern.
+        """
         x, y = self.ghz_amplitudes
-        if abs(x) <= tol or abs(y) <= tol:
+        scale = tol * math.sqrt(self.probability)
+        if abs(x) <= scale or abs(y) <= scale:
             raise NoGhzComponentError(
                 f"pattern {''.join(self.pattern)} has no correctable GHZ component"
             )

@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .fock import (
     BITS,
@@ -200,22 +200,43 @@ def phase_plate(mode: Mode, phase: float) -> LinearMap:
 # Application and checks
 # ----------------------------------------------------------------------
 
+class Herald(NamedTuple):
+    """``reach[s]``: the packed mask of the output modes from which a photon
+    can still reach detector station ``s``.  On the ``final`` stage each mask
+    is the station itself, which takes one photon only."""
+
+    reach: tuple[int, ...]
+    final: bool = False
+
+
+def feed_masks(transform: LinearMap, masks: Sequence[int]) -> tuple[int, ...]:
+    """For each mask, the modes whose photons ``transform`` can send into it:
+    unmapped modes of the mask, and inputs with a column entry in it."""
+    in_mask = pack(dict.fromkeys(transform.columns, MAX_OCCUPATION))
+    return tuple(
+        (m & ~in_mask) | pack({idx: MAX_OCCUPATION for idx, col in transform.columns.items()
+                               if any((m >> (BITS * out)) & MAX_OCCUPATION for out, _ in col)})
+        for m in masks
+    )
+
+
 def apply(
     transform: LinearMap,
     state: PhotonicState,
     term_cap: int | None = None,
-    stations: Sequence[int] | None = None,
+    herald: Herald | None = None,
 ) -> PhotonicState:
     """Apply one map to a state by exact monomial expansion.
 
-    ``stations`` heralds the result: each entry is the packed nibble mask of
-    one detector station's (H, V) modes (see :func:`heraldnet.fock.pack`).
-    Occupations only grow during the expansion, so a monomial none of whose
-    photons can reach some station is skipped whole, a partial monomial
-    never takes a column entry into a station that already holds a photon,
-    and only outputs with every station occupied are kept.  The result is
-    the heralded part of the full output; every kept amplitude is the same
-    sum, in the same order, as without ``stations``.
+    With a ``herald``, only outputs that meet every reach mask are kept, and
+    nothing else is built.  Occupations only grow during the expansion, so a
+    monomial none of whose photons can reach some mask is skipped whole, and
+    right after the last mapped mode that can feed a mask is expanded, the
+    partial monomials that miss it are dropped.  On the final stage a
+    partial also never takes a column entry into a station that already
+    holds a photon, so every station ends with exactly one.  A dropped
+    monomial has no kept descendant, so every kept amplitude is the same
+    sum, in the same order, as without ``herald``.
 
     Like terms are merged with :func:`heraldnet.fock.cancel_add`, so a
     cancellation leaves an exact zero and no key.
@@ -229,8 +250,9 @@ def apply(
     outputs = transform.output_indices()
     in_mask = pack(dict.fromkeys(transform.columns, MAX_OCCUPATION))
     out_mask = pack(dict.fromkeys(outputs, MAX_OCCUPATION))
-    stations = tuple(stations or ())
-    # station_of[out]: the mask of the station output mode ``out`` belongs to, or 0.
+    reach = herald.reach if herald else ()
+    stations = reach if herald and herald.final else ()
+    # station_of[out]: on the final stage, the station output mode ``out`` belongs to, or 0.
     station_of = {
         out: next((m for m in stations if (m >> (BITS * out)) & MAX_OCCUPATION), 0)
         for out in outputs
@@ -240,12 +262,8 @@ def apply(
         (BITS * idx, tuple((1 << (BITS * out), coeff, station_of[out]) for out, coeff in col))
         for idx, col in sorted(transform.columns.items())
     ]
-    # feeds[s]: the modes whose photons can end up in station s.
-    feeds = [
-        (m & ~in_mask) | pack({idx: MAX_OCCUPATION for idx, col in transform.columns.items()
-                               if any(station_of[out] == m for out, _ in col)})
-        for m in stations
-    ]
+    # feeds[s]: the modes whose photons can end up in reach mask s.
+    feeds = feed_masks(transform, reach)
     new_terms: dict[int, complex] = {}
     for key, amp in state.amplitudes.items():
         rest = key & ~in_mask
@@ -256,8 +274,14 @@ def apply(
                 f"occupied mode {mode.spatial_label}/{mode.polarization} is unmapped "
                 "but appears among the map outputs"
             )
-        if feeds and not all(key & f for f in feeds):
+        if not all(key & f for f in feeds):
             continue
+        # closing[shift]: the masks not yet met that no photon past that mapped mode feeds.
+        closing: dict[int, list[int]] = {}
+        for m, f in zip(reach, feeds):
+            if not rest & m:
+                top = (key & f).bit_length() - 1
+                closing.setdefault(top - top % BITS, []).append(m)
         # poly maps partial output keys to amplitudes for this monomial.
         poly: dict[int, complex] = {rest: amp}
         for shift, col in steps:
@@ -271,9 +295,10 @@ def apply(
                         val = nxt.get(out)
                         nxt[out] = pamp * coeff if val is None else cancel_add(val, pamp * coeff)
                 poly = nxt
+            closed = closing.get(shift)
+            if closed:
+                poly = {p: a for p, a in poly.items() if all(p & m for m in closed)}
         for out, value in poly.items():
-            if stations and not all(out & m for m in stations):
-                continue
             cur = new_terms.get(out)
             new_terms[out] = value if cur is None else cancel_add(cur, value)
         if term_cap is not None and len(new_terms) > term_cap:

@@ -73,10 +73,10 @@ class NetworkGeometry:
     def __post_init__(self) -> None:
         if self.n_parties < 2:
             raise GeometryError("a network needs at least two parties")
-        if self.radius_km < 0:
-            raise GeometryError("radius must be non-negative")
-        if self.alpha < 0:
-            raise GeometryError("attenuation must be non-negative")
+        if not (math.isfinite(self.radius_km) and self.radius_km >= 0):
+            raise GeometryError(f"radius must be finite and non-negative, got {self.radius_km}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise GeometryError(f"attenuation must be finite and non-negative, got {self.alpha}")
 
     def link_length_km(self, scheme: str) -> float:
         """Fibre length per link: the radius for central schemes, the

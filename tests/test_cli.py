@@ -150,13 +150,14 @@ class TestSimulate:
     @pytest.mark.parametrize(
         ("argv", "message"),
         [
-            (["simulate", "--scheme", "sd", "--parties", "6", "--eta", "0.9"], "sd is capped at 5"),
-            (["simulate", "--scheme", "all", "--parties", "5..6", "--eta", "0.9"], "sd is capped at 5"),
-            (["verify", "--scheme", "sd", "--parties", "6"], "sd is capped at 5"),
+            (["simulate", "--scheme", "sd", "--parties", "8", "--eta", "0.9"], "sd is capped at 7"),
+            (["simulate", "--scheme", "all", "--parties", "6..7", "--eta", "0.9"], "bc is capped at 6"),
+            (["verify", "--scheme", "sd", "--parties", "8"], "sd is capped at 7"),
+            (["simulate", "--scheme", "sd", "--parties", "6..8", "--eta", "0.9"], "sd is capped at 7"),
         ],
     )
     def test_simulation_cap_is_per_scheme(self, capsys, monkeypatch, argv, message):
-        # refused before any state is evolved: sd at N=6 would not fit in memory
+        # refused before any state is evolved: sd at N=8 needs more photons than a key holds
         def evolve(build):
             raise AssertionError(f"evolved {build.spec.scheme} N={build.spec.n_parties}")
 
@@ -332,6 +333,23 @@ class TestNonFiniteInput:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--radius", "nan"], "radius must be finite and non-negative, got nan"),
+            (["--radius", "inf"], "radius must be finite and non-negative, got inf"),
+            (["--radius", "10", "--alpha", "nan"],
+             "attenuation must be finite and non-negative, got nan"),
+            (["--radius", "10", "--alpha", "inf"],
+             "attenuation must be finite and non-negative, got inf"),
+        ],
+    )
+    def test_non_finite_geometry_names_its_field(self, capsys, flags, message):
+        code, out, err = run(capsys, ["simulate", "--scheme", "sc", "--parties", "2"] + flags)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestVerify:

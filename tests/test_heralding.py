@@ -6,6 +6,7 @@ import math
 import pytest
 
 from conftest import explicit_evolution, heralded_part
+from heraldnet import heralding
 from heraldnet.analytic import closed_p_suc, exact_h_eff, exact_p_hr
 from heraldnet.fock import norm_squared
 from heraldnet.heralding import (
@@ -98,6 +99,46 @@ class TestDetectionPipeline:
         for monomial, amp in twice.terms.items():
             assert amp == pytest.approx(state.terms[monomial], abs=1e-12)
 
+    @staticmethod
+    def _filtered_stages(monkeypatch, build):
+        """(stage, herald, output) of each call the evolution makes."""
+        calls = []
+
+        def record(stage, state, **kwargs):
+            out = apply(stage, state, **kwargs)
+            calls.append((stage, kwargs["herald"], out))
+            return out
+
+        monkeypatch.setattr(heralding, "apply", record)
+        detection_ready_state(build)
+        return calls
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("eta", [1.0, 0.9, 0.3])
+    def test_every_stage_keeps_the_reachable_part(self, monkeypatch, scheme, n, eta):
+        # the filtered loop equals the unfiltered one restricted to the keys
+        # that meet every reach mask: same keys, same floats, same order
+        build = build_scheme(scheme, n, eta)
+        calls = self._filtered_stages(monkeypatch, build)
+        assert len(calls) == len(build.circuit.stages)
+        full = build.state
+        for stage, herald, kept in calls[:-1]:
+            assert not herald.final
+            full = apply(stage, full)
+            reachable = {k: a for k, a in full.amplitudes.items()
+                         if all(k & m for m in herald.reach)}
+            assert list(kept.amplitudes.items()) == list(reachable.items())
+        stage, herald, kept = calls[-1]
+        assert herald.final
+        last = heralded_part(build, apply(stage, full))
+        assert list(kept.amplitudes.items()) == list(last.items())
+
+    def test_ring_stage_counts(self, monkeypatch):
+        # unfiltered, sd N=4 builds 1296 and 160,000 terms before its last stage
+        calls = self._filtered_stages(monkeypatch, build_sd(4, 0.9))
+        assert [len(out) for _, _, out in calls] == [32, 512, 2592]
+
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_pattern_probabilities_sum_to_herald(self, scheme):
         build = build_scheme(scheme, 2, 0.9)
@@ -151,6 +192,12 @@ class TestMetricValues:
         assert math.isclose(metrics.p_suc, closed_p_suc("sc", 5, 0.9), rel_tol=1e-9)
         assert math.isclose(metrics.p_hr, exact_p_hr("sc", 5, 0.9), rel_tol=1e-9)
         assert math.isclose(metrics.h_eff, exact_h_eff("sc", 5, 0.9), rel_tol=1e-9)
+
+    def test_six_party_ring_scheme(self):
+        # the reach the per-stage herald opens up (about 1 s)
+        metrics = compute_metrics(build_sd(6, 0.9))
+        assert math.isclose(metrics.p_suc, closed_p_suc("sd", 6, 0.9), rel_tol=1e-9)
+        assert math.isclose(metrics.p_hr, exact_p_hr("sd", 6, 0.9), rel_tol=1e-9)
 
 
 class TestPatternOutcomes:
@@ -292,8 +339,16 @@ class TestErrors:
         with pytest.raises(NoGhzComponentError):
             outcome.feedforward_phase()
 
+    def test_weak_pattern_keeps_its_ghz_component(self):
+        # pattern DDD has probability 2.3e-17 and two equal GHZ amplitudes of
+        # 3.2e-17, below any absolute threshold but not residue
+        outcome = analyze_patterns(build_sd(3, 0.003))[0]
+        assert outcome.pattern == ("D", "D", "D")
+        assert outcome.ghz_amplitudes[0] == outcome.ghz_amplitudes[1] != 0
+        assert outcome.feedforward_phase() == 0.0
+
     def test_oracle_size_cap(self):
-        assert ORACLE_MAX_PARTIES == {"bc": 6, "sc": 6, "sd": 5}
+        assert ORACLE_MAX_PARTIES == {"bc": 6, "sc": 6, "sd": 7}
         for scheme, cap in ORACLE_MAX_PARTIES.items():
             check_oracle_size(scheme, cap)
             with pytest.raises(OracleSizeError) as exc:

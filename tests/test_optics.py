@@ -19,6 +19,7 @@ from heraldnet.fock import (
     superpose,
 )
 from heraldnet.optics import (
+    Herald,
     LinearMap,
     TermBudgetError,
     apply,
@@ -191,7 +192,7 @@ def _split_to_stations(pairs):
     # a1_H and b1_V each split evenly between stations d1 and e1.
     a, b, d, e = pairs["a1"], pairs["b1"], pairs["d1"], pairs["e1"]
     stage = merge_maps([bs_5050(a[0], d[0], e[0]), bs_5050(b[1], d[1], e[1])])
-    return stage, [_station(*d), _station(*e)]
+    return stage, (_station(*d), _station(*e))
 
 
 def test_stations_keep_exactly_the_heralded_part():
@@ -206,7 +207,7 @@ def test_stations_keep_exactly_the_heralded_part():
             (0.48j, state_from_creation_product(r, [c[1]])),
         ]
     )
-    heralded = apply(stage, state, stations=stations)
+    heralded = apply(stage, state, herald=Herald(stations, final=True))
     full = apply(stage, state)
     expected = {k: v for k, v in full.amplitudes.items() if all(k & m for m in stations)}
     assert heralded.amplitudes == expected
@@ -219,14 +220,49 @@ def test_stations_drop_doubly_occupied_stations():
     a, b = pairs["a1"], pairs["b1"]
     stage, stations = _split_to_stations(pairs)
     state = state_from_creation_product(r, [a[0], b[1]])
-    heralded = apply(stage, state, stations=stations)
+    heralded = apply(stage, state, herald=Herald(stations, final=True))
     # d1_H d1_V and e1_H e1_V put two photons in one station.
     assert len(apply(stage, state)) == 4 and len(heralded) == 2
     for key in heralded.amplitudes:
         assert all(bin(key & m).count("1") == 1 for m in stations)
     assert norm_squared(heralded) == pytest.approx(0.5)
     # Two photons cannot fill three stations.
-    assert apply(stage, state, stations=stations + [_station(*pairs["c1"])]).amplitudes == {}
+    three = Herald(stations + (_station(*pairs["c1"]),), final=True)
+    assert apply(stage, state, herald=three).amplitudes == {}
+
+
+class _Counted(complex):
+    """A coefficient that counts the partial monomials it multiplies."""
+
+    uses = 0
+
+    def __rmul__(self, other):
+        _Counted.uses += 1
+        return complex.__rmul__(self, other)
+
+
+def test_reach_drops_partials_that_can_no_longer_fill_a_mask():
+    # Two photons in a1_H split over b1_H and c1_H, then one in a1_V over d1_H
+    # and c1_V.  Only a1_H feeds the b1_H mask, so once it is expanded the
+    # partial c1_H^2 is dropped before a1_V doubles it.
+    r, pairs, _ = make_registry()
+    a, b, c, d = pairs["a1"], pairs["b1"], pairs["c1"], pairs["d1"]
+    half = _Counted(R)
+    stage = LinearMap(r, {
+        a[0].index: ((b[0].index, half), (c[0].index, half)),
+        a[1].index: ((d[0].index, half), (c[1].index, half)),
+    })
+    state = state_from_creation_product(r, [a[0], a[0], a[1]])
+    herald = Herald((_station(b[0]), _station(d[0])))
+    _Counted.uses = 0
+    full = apply(stage, state)
+    assert _Counted.uses == 2 + 4 + 3 * 2
+    _Counted.uses = 0
+    kept = apply(stage, state, herald=herald)
+    assert _Counted.uses == 2 + 4 + 2 * 2
+    expected = [(k, v) for k, v in full.amplitudes.items() if all(k & m for m in herald.reach)]
+    assert list(kept.amplitudes.items()) == expected
+    assert (len(kept), len(full)) == (2, 6)
 
 
 def test_term_budget_enforced():
