@@ -268,14 +268,18 @@ def cmd_crossover(args: argparse.Namespace) -> int:
     parties = parse_parties(args.parties)
     points = crossover_curve(min(parties), max(parties), args.alpha, tol=args.tol)
     points = [p for p in points if p.n_parties in set(parties)]
-    asym = asymptotic_chord(args.alpha)
+    # The rows stand on their own: an asymptote out of range is reported after them.
+    try:
+        asym, failure = asymptotic_chord(args.alpha), None
+    except ArithmeticError as exc:
+        asym, failure = None, exc
     fmt_choice = args.format or "text"
 
     def render(stream: TextIO) -> None:
         if fmt_choice == "json":
             json.dump({
                 "points": [p._asdict() for p in points],
-                "asymptote": dataclasses.asdict(asym),
+                "asymptote": dataclasses.asdict(asym) if asym else None,
             }, stream, indent=2)
             stream.write("\n")
             return
@@ -287,14 +291,18 @@ def cmd_crossover(args: argparse.Namespace) -> int:
         stream.write(f"{'N':>3} {'R_c_km':>14} {'l_c_km':>14}\n")
         for p in points:
             stream.write(f"{p.n_parties:>3} {fmt(p.radius_km):>14} {fmt(p.chord_km):>14}\n")
-        stream.write(
-            f"chord limit ln(2)/(2*alpha) = {fmt(asym.analytic_limit_km)} km; "
-            f"numeric chord at N={asym.reference_n} = {fmt(asym.numeric_at_reference_n_km)} km; "
-            f"quoted reference {fmt(asym.quoted_reference_km)} km is reported for comparison "
-            "and is not reproduced by this relation\n"
-        )
+        if asym:
+            stream.write(
+                f"chord limit ln(2)/(2*alpha) = {fmt(asym.analytic_limit_km)} km; "
+                f"numeric chord at N={asym.reference_n} = {fmt(asym.numeric_at_reference_n_km)} km; "
+                f"quoted reference {fmt(asym.quoted_reference_km)} km is reported for comparison "
+                "and is not reproduced by this relation\n"
+            )
 
     _emit(args, render)
+    if failure:
+        print(f"error: chord asymptote: {failure}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -167,6 +167,14 @@ def occupations(key: int) -> list[tuple[int, int]]:
     return [(i, int(digit, 16)) for i, digit in enumerate(reversed(f"{key:x}")) if digit != "0"]
 
 
+def photons(key: int) -> int:
+    """The total photon number of a key of any width: the sum of its
+    nibbles, counted one bit plane at a time."""
+    ones = (1 << (key.bit_length() + BITS - 1) // BITS * BITS) // MAX_OCCUPATION  # 0x11...1
+    return ((key & ones).bit_count() + 2 * (key >> 1 & ones).bit_count()
+            + 4 * (key >> 2 & ones).bit_count() + 8 * (key >> 3 & ones).bit_count())
+
+
 def state_from_creation_product(
     registry: ModeRegistry, modes: Sequence[Mode], amplitude: complex = 1.0
 ) -> PhotonicState:
@@ -184,7 +192,7 @@ def with_photons(state: PhotonicState, counts: Mapping[int, int]) -> PhotonicSta
     operators on mode ``i``; amplitudes are unchanged."""
     added = sum(counts.values())
     for key in state.amplitudes:
-        if added + sum(k for _, k in occupations(key)) > MAX_OCCUPATION:
+        if added + photons(key) > MAX_OCCUPATION:
             raise ValueError(f"a monomial holds at most {MAX_OCCUPATION} photons")
     extra = pack(counts)
     return PhotonicState(state.registry, {key + extra: a for key, a in state.amplitudes.items()})

@@ -23,8 +23,9 @@ from .fock import (
     PhotonicState,
     _monomial_weight,
     inner_product,
-    norm_squared,
+    norm_squared,  # noqa: F401 - benchmarks/run.py --trace 1 times heralding.norm_squared
     pack,
+    photons,
     with_photons,
 )
 from .optics import Herald, LinearMap, apply, compose_maps, feed_masks
@@ -32,9 +33,9 @@ from .schemes import SchemeBuild, SchemeSpec
 
 # Exhaustive amplitude tracking is exponential in the party count; past these
 # sizes a single case needs minutes and gigabytes, so the drivers refuse it.
-# Measured on 2 cores, Python 3.11: bc N=6 0.1 s, sc N=6 10 s and 370 MB,
-# sd N=6 0.8 s and 41 MB, sd N=7 5 s and 175 MB; sd at N=8 has 16 photons,
-# more than a packed key holds (MAX_OCCUPATION).
+# Measured on 2 cores, Python 3.11: bc N=6 0.02 s, sc N=6 2.6 s and 49 MB,
+# sc N=7 24 s and 290 MB, sd N=6 0.4 s and 40 MB, sd N=7 2.7 s and 136 MB;
+# sd at N=8 has 16 photons, more than a packed key holds (MAX_OCCUPATION).
 ORACLE_MAX_PARTIES = {"bc": 6, "sc": 6, "sd": 7}
 DEFAULT_TERM_BUDGET = 10**8
 
@@ -92,10 +93,13 @@ def detection_ready_state(build: SchemeBuild) -> PhotonicState:
 
     Every stage is applied with a herald (see :func:`heraldnet.optics.apply`):
     a station's reach after a stage is every mode with a column entry, zero
-    or not, into the station in the composed later stages, so no numerical
-    cancellation can drop a key that heralds.  The last stage keeps exactly
-    one photon per station.  The result is the heralded part of the full
-    evolution, summed in the same order; its squared norm is P_hr.
+    or not, into the station in the composed later stages, and the herald's
+    ``must`` is every mode whose column entries there all lie in stations,
+    so no numerical cancellation can drop a key that heralds.  The masks are
+    derived here rather than by the builders, so building stays cheap.  The
+    last stage keeps exactly one photon per station.  The result is the
+    heralded part of the full evolution, summed in the same order; its
+    squared norm is P_hr.
 
     For diagonal-basis detection the basis rotation is composed into the
     final circuit stage, which saves one full pass over the largest state;
@@ -108,10 +112,12 @@ def detection_ready_state(build: SchemeBuild) -> PhotonicState:
         pack(dict.fromkeys((h.index, v.index), MAX_OCCUPATION))
         for h, v in build.spec.detector_stations
     )
-    heralds = [Herald(stations, final=True)]
+    every_station = sum(stations)  # the stations share no mode
+    heralds = [Herald(stations, every_station, final=True)]
     later = stages[-1]
     for stage in reversed(stages[:-1]):
-        heralds.append(Herald(feed_masks(later, stations)))
+        (must,) = feed_masks(later, (every_station,), every=True)
+        heralds.append(Herald(feed_masks(later, stations), must))
         later = compose_maps(stage, later)
     state = build.state
     for stage, herald in zip(stages, reversed(heralds)):
@@ -199,7 +205,7 @@ def analyze_patterns(build: SchemeBuild) -> list[PatternOutcome]:
             "detector modes must be the last registered modes, in station order"
         )
     ready = detection_ready_state(build)
-    env_shifts = [BITS * m.index for m in spec.environment_modes]
+    env_mask = pack(dict.fromkeys((m.index for m in spec.environment_modes), MAX_OCCUPATION))
 
     # Detector modes come last, so a key's bits from d_shift up are its click signature.
     d_shift = BITS * d_min
@@ -213,21 +219,21 @@ def analyze_patterns(build: SchemeBuild) -> list[PatternOutcome]:
         clicks = {detector_indices[2 * i + letters.index(c)]: 1 for i, c in enumerate(pattern)}
         bucket = buckets.get(pack(clicks) >> d_shift, {})
         conditional = PhotonicState(spec.registry, bucket)
-        probability = norm_squared(conditional)
-
         bras = tuple(with_photons(s, clicks) for s in spec.ghz_pair)
         amplitudes = tuple(inner_product(bra, conditional) for bra in bras)
 
+        # Each key's weight once, in bucket order: the same products and the
+        # same sum as norm_squared(conditional).
+        weights = [abs(amp) ** 2 * _monomial_weight(key) for key, amp in bucket.items()]
         histogram: dict[int, float] = {}
-        for key, amp in bucket.items():
-            env_total = sum((key >> shift) & MAX_OCCUPATION for shift in env_shifts)
-            weight = abs(amp) ** 2 * _monomial_weight(key)
+        for key, weight in zip(bucket, weights):
+            env_total = photons(key & env_mask)
             histogram[env_total] = histogram.get(env_total, 0.0) + weight
 
         outcomes.append(
             PatternOutcome(
                 pattern=pattern,
-                probability=probability,
+                probability=sum(weights),
                 ghz_amplitudes=amplitudes,
                 environment_histogram=tuple(sorted(histogram.items())),
             )

@@ -27,6 +27,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .fock import (
@@ -39,6 +41,7 @@ from .fock import (
     RegistryError,
     cancel_add,
     pack,
+    photons,
 )
 
 ISOMETRY_TOL = 1e-12
@@ -201,21 +204,30 @@ def phase_plate(mode: Mode, phase: float) -> LinearMap:
 # ----------------------------------------------------------------------
 
 class Herald(NamedTuple):
-    """``reach[s]``: the packed mask of the output modes from which a photon
-    can still reach detector station ``s``.  On the ``final`` stage each mask
-    is the station itself, which takes one photon only."""
+    """What a stage's outputs must allow for a herald to remain possible.
+
+    ``reach[s]`` is the packed mask of the output modes from which a photon
+    can still reach detector station ``s``, and ``must`` the output modes
+    from which every photon ends in a station (0 claims none).  Each station
+    takes one photon of its own, so a key with a heralded descendant holds at
+    most ``len(reach)`` photons in ``must`` and at least that many in the
+    union of ``reach``.  On the ``final`` stage each mask is the station
+    itself, which takes one photon only."""
 
     reach: tuple[int, ...]
+    must: int = 0
     final: bool = False
 
 
-def feed_masks(transform: LinearMap, masks: Sequence[int]) -> tuple[int, ...]:
+def feed_masks(transform: LinearMap, masks: Sequence[int], every: bool = False) -> tuple[int, ...]:
     """For each mask, the modes whose photons ``transform`` can send into it:
-    unmapped modes of the mask, and inputs with a column entry in it."""
+    unmapped modes of the mask, and inputs with a column entry in it (with
+    ``every``, inputs whose column entries all lie in it)."""
     in_mask = pack(dict.fromkeys(transform.columns, MAX_OCCUPATION))
+    test = all if every else any
     return tuple(
         (m & ~in_mask) | pack({idx: MAX_OCCUPATION for idx, col in transform.columns.items()
-                               if any((m >> (BITS * out)) & MAX_OCCUPATION for out, _ in col)})
+                               if test((m >> (BITS * out)) & MAX_OCCUPATION for out, _ in col)})
         for m in masks
     )
 
@@ -228,18 +240,21 @@ def apply(
 ) -> PhotonicState:
     """Apply one map to a state by exact monomial expansion.
 
-    With a ``herald``, only outputs that meet every reach mask are kept, and
-    nothing else is built.  Occupations only grow during the expansion, so a
-    monomial none of whose photons can reach some mask is skipped whole, and
-    right after the last mapped mode that can feed a mask is expanded, the
-    partial monomials that miss it are dropped.  On the final stage a
-    partial also never takes a column entry into a station that already
-    holds a photon, so every station ends with exactly one.  A dropped
-    monomial has no kept descendant, so every kept amplitude is the same
-    sum, in the same order, as without ``herald``.
+    With a ``herald``, only outputs that meet every reach mask and the
+    photon-count bound of :class:`Herald` are kept, and nothing else is
+    built.  Occupations only grow during the expansion, so a monomial that
+    fails either test, lifted through the map as :func:`feed_masks` does, is
+    skipped whole, and right after the last mapped mode that can feed a mask
+    is expanded, the partial monomials that miss it are dropped.  On the
+    final stage a partial also never takes a column entry into a station
+    that already holds a photon, so every station ends with exactly one.  A
+    dropped monomial has no kept descendant, so every kept amplitude is the
+    same sum, in the same order, as without ``herald``.
 
     Like terms are merged with :func:`heraldnet.fock.cancel_add`, so a
-    cancellation leaves an exact zero and no key.
+    cancellation leaves an exact zero, and partials whose amplitude is an
+    exact zero are dropped after each mapped mode is expanded: they would
+    only add zeros to their descendants.
 
     Raises :class:`TermBudgetError` if the number of distinct monomials ever
     exceeds ``term_cap`` and :class:`ModeCollisionError` if an occupied
@@ -250,8 +265,11 @@ def apply(
     outputs = transform.output_indices()
     in_mask = pack(dict.fromkeys(transform.columns, MAX_OCCUPATION))
     out_mask = pack(dict.fromkeys(outputs, MAX_OCCUPATION))
-    reach = herald.reach if herald else ()
-    stations = reach if herald and herald.final else ()
+    reach, must, final = herald or ((), 0, False)
+    n, can = len(reach), reduce(or_, reach, 0)
+    stations = reach if final else ()
+    # The final stage's station rule already leaves exactly n photons in the stations.
+    counted = bool(reach) and not final
     # station_of[out]: on the final stage, the station output mode ``out`` belongs to, or 0.
     station_of = {
         out: next((m for m in stations if (m >> (BITS * out)) & MAX_OCCUPATION), 0)
@@ -264,6 +282,8 @@ def apply(
     ]
     # feeds[s]: the modes whose photons can end up in reach mask s.
     feeds = feed_masks(transform, reach)
+    # can_in, must_in: the count bound's masks, lifted through the map.
+    (can_in,), (must_in,) = feed_masks(transform, (can,)), feed_masks(transform, (must,), every=True)
     new_terms: dict[int, complex] = {}
     for key, amp in state.amplitudes.items():
         rest = key & ~in_mask
@@ -274,7 +294,7 @@ def apply(
                 f"occupied mode {mode.spatial_label}/{mode.polarization} is unmapped "
                 "but appears among the map outputs"
             )
-        if not all(key & f for f in feeds):
+        if not all(key & f for f in feeds) or not photons(key & must_in) <= n <= photons(key & can_in):
             continue
         # closing[shift]: the masks not yet met that no photon past that mapped mode feeds.
         closing: dict[int, list[int]] = {}
@@ -285,7 +305,8 @@ def apply(
         # poly maps partial output keys to amplitudes for this monomial.
         poly: dict[int, complex] = {rest: amp}
         for shift, col in steps:
-            for _ in range((key >> shift) & MAX_OCCUPATION):
+            count = (key >> shift) & MAX_OCCUPATION
+            for _ in range(count):
                 nxt: dict[int, complex] = {}
                 for partial, pamp in poly.items():
                     for step, coeff, station in col:
@@ -295,10 +316,12 @@ def apply(
                         val = nxt.get(out)
                         nxt[out] = pamp * coeff if val is None else cancel_add(val, pamp * coeff)
                 poly = nxt
-            closed = closing.get(shift)
-            if closed:
-                poly = {p: a for p, a in poly.items() if all(p & m for m in closed)}
+            closed = closing.get(shift, ())
+            if count and (closed or 0j in poly.values()):
+                poly = {p: a for p, a in poly.items() if a and all(p & m for m in closed)}
         for out, value in poly.items():
+            if counted and not photons(out & must) <= n <= photons(out & can):
+                continue
             cur = new_terms.get(out)
             new_terms[out] = value if cur is None else cancel_add(cur, value)
         if term_cap is not None and len(new_terms) > term_cap:

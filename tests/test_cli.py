@@ -284,6 +284,25 @@ class TestExtremeAttenuation:
         assert err.startswith("error:") and "float range" in err
 
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_rows_survive_an_asymptote_out_of_range(self, capsys, fmt):
+        # the N=7 root is finite here; only the N=500 root of the asymptote is not
+        code, out, err = run(
+            capsys, ["crossover", "--parties", "7", "--alpha", "1e-309", "--format", fmt]
+        )
+        assert code == 1
+        assert err.startswith("error: chord asymptote:") and "float range" in err
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["asymptote"] is None
+            (point,) = doc["points"]
+            assert point["n_parties"] == 7 and 0 < point["radius_km"] < float("inf")
+        else:
+            row = out.splitlines()[1].replace(",", " ").split()
+            assert row[0] == "7" and 0 < float(row[1]) < float("inf")
+            assert "chord limit" not in out
+
+
 class TestErrorExits:
     def test_term_budget_is_an_error_line(self, capsys, monkeypatch):
         monkeypatch.setattr(heralding, "DEFAULT_TERM_BUDGET", 10)

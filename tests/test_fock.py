@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from heraldnet.fock import (
@@ -14,6 +14,7 @@ from heraldnet.fock import (
     norm_squared,
     occupations,
     pack,
+    photons,
     state_from_creation_product,
     superpose,
     with_photons,
@@ -118,6 +119,15 @@ def test_pack_and_occupations_round_trip():
     assert key == (2 << 4) + (1 << 12)
     assert occupations(key) == [(1, 2), (3, 1)]
     assert pack({}) == 0 and occupations(0) == []
+
+
+@given(st.dictionaries(st.integers(0, 200), st.integers(0, MAX_OCCUPATION)))
+@example({64: 1, 100: MAX_OCCUPATION, 3: 2})
+@example({i: MAX_OCCUPATION for i in range(70)})
+def test_photons_is_the_occupation_sum(counts):
+    # exact for keys of any width, not only the first 64 modes
+    key = pack(counts)
+    assert photons(key) == sum(k for _, k in occupations(key)) == sum(counts.values())
 
 
 @pytest.mark.parametrize("count", [-1, MAX_OCCUPATION + 1])

@@ -2,13 +2,15 @@
 
 import dataclasses
 import math
+from functools import reduce
+from operator import or_
 
 import pytest
 
 from conftest import explicit_evolution, heralded_part
 from heraldnet import heralding
 from heraldnet.analytic import closed_p_suc, exact_h_eff, exact_p_hr
-from heraldnet.fock import norm_squared
+from heraldnet.fock import PhotonicState, norm_squared, pack, photons
 from heraldnet.heralding import (
     ORACLE_MAX_PARTIES,
     Metrics,
@@ -118,7 +120,9 @@ class TestDetectionPipeline:
     @pytest.mark.parametrize("eta", [1.0, 0.9, 0.3])
     def test_every_stage_keeps_the_reachable_part(self, monkeypatch, scheme, n, eta):
         # the filtered loop equals the unfiltered one restricted to the keys
-        # that meet every reach mask: same keys, same floats, same order
+        # that meet every reach mask and hold at most n photons in the modes
+        # that must reach a station and at least n in those that can: same
+        # keys, same floats, same order
         build = build_scheme(scheme, n, eta)
         calls = self._filtered_stages(monkeypatch, build)
         assert len(calls) == len(build.circuit.stages)
@@ -126,8 +130,10 @@ class TestDetectionPipeline:
         for stage, herald, kept in calls[:-1]:
             assert not herald.final
             full = apply(stage, full)
+            can = reduce(or_, herald.reach)
             reachable = {k: a for k, a in full.amplitudes.items()
-                         if all(k & m for m in herald.reach)}
+                         if all(k & m for m in herald.reach)
+                         and photons(k & herald.must) <= n <= photons(k & can)}
             assert list(kept.amplitudes.items()) == list(reachable.items())
         stage, herald, kept = calls[-1]
         assert herald.final
@@ -137,7 +143,23 @@ class TestDetectionPipeline:
     def test_ring_stage_counts(self, monkeypatch):
         # unfiltered, sd N=4 builds 1296 and 160,000 terms before its last stage
         calls = self._filtered_stages(monkeypatch, build_sd(4, 0.9))
-        assert [len(out) for _, _, out in calls] == [32, 512, 2592]
+        assert [len(out) for _, _, out in calls] == [32, 162, 2592]
+
+    def test_central_stage_counts(self, monkeypatch):
+        # per-station reach alone keeps 207, 207 and 3,425 terms before the last stage
+        calls = self._filtered_stages(monkeypatch, build_sc(4, 0.9))
+        assert [len(out) for _, _, out in calls] == [159, 159, 1056, 2048]
+
+    def test_reach_alone_misses_a_short_count(self, monkeypatch):
+        # c1 feeds stations 1 and 2, c3 stations 3 and 4: one photon in each
+        # reaches every station, but two photons cannot fill four of them
+        build = build_sc(4, 0.9)
+        stage, herald, _ = self._filtered_stages(monkeypatch, build)[2]
+        registry = build.spec.registry
+        key = pack({registry.get("c1", "H").index: 1, registry.get("c3", "V").index: 1})
+        assert all(key & m for m in herald.reach)
+        assert len(apply(stage, PhotonicState(registry, {key: 1.0}))) == 4
+        assert len(apply(stage, PhotonicState(registry, {key: 1.0}), herald=herald)) == 0
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_pattern_probabilities_sum_to_herald(self, scheme):

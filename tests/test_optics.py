@@ -265,6 +265,35 @@ def test_reach_drops_partials_that_can_no_longer_fill_a_mask():
     assert (len(kept), len(full)) == (2, 6)
 
 
+def test_exact_zero_partials_are_not_expanded():
+    # One D/A splitter sends c1 to stations d1 (D) and e1 (A); f1_H then goes
+    # to station b1 or to a1.  c1_H c1_V -> (D^2 - A^2)/2, so every partial
+    # with one photon in each of d1 and e1 is an exact zero, and none of them
+    # is carried through f1_H.  c1_H^2 -> (D + A)^2/2 keeps its cross terms.
+    r, pairs, env = make_registry()
+    a, b, c, d, e = (pairs[k] for k in ("a1", "b1", "c1", "d1", "e1"))
+    da = pbs_da(c, d, e)
+    stage = LinearMap(r, {
+        **{i: tuple((out, _Counted(k)) for out, k in col) for i, col in da.columns.items()},
+        env[0].index: ((b[0].index, _Counted(R)), (a[0].index, _Counted(R))),
+    })
+    state = superpose([
+        (0.6, state_from_creation_product(r, [c[0], c[1], env[0]])),
+        (0.8, state_from_creation_product(r, [c[0], c[0], env[0]])),
+    ])
+    stations = (_station(*d), _station(*e), _station(*b))
+    _Counted.uses = 0
+    kept = apply(stage, state, herald=Herald(stations, final=True))
+    # c1_H c1_V: 4, then 2 open-station entries for each of 4 partials;
+    # c1_H^2: the same, then 2 entries of f1_H for each of 4 partials.
+    assert _Counted.uses == (4 + 4 * 2) + (4 + 4 * 2 + 4 * 2)
+    full = apply(stage, state)
+    expected = [(k, v) for k, v in full.amplitudes.items()
+                if all(bin(k & m).count("1") == 1 for m in stations)]
+    assert list(kept.amplitudes.items()) == expected
+    assert len(kept) == 4
+
+
 def test_term_budget_enforced():
     r, pairs, _ = make_registry()
     a, b, c = pairs["a1"], pairs["b1"], pairs["c1"]
