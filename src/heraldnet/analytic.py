@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .heralding import UndefinedMetricError
-from .schemes import DEFAULT_ALPHA, SCHEMES
+from .schemes import DEFAULT_ALPHA, _check_params, _check_scheme, chord_length
 
 QUOTED_CHORD_REFERENCE_KM = 15.71  # widely quoted figure, kept for comparison
 
@@ -33,12 +33,8 @@ class RootBracketError(ArithmeticError):
 
 
 def _check(scheme: str, n: int, eta: float) -> None:
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if n < 2:
-        raise ValueError("need at least two parties")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmission eta must lie in [0, 1], got {eta}")
+    _check_scheme(scheme)
+    _check_params(n, eta)
 
 
 def closed_p_suc(scheme: str, n: int, eta: float) -> float:
@@ -219,11 +215,6 @@ def crossover_radius(
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def chord_length(radius_km: float, n: int) -> float:
-    """Distance 2 R sin(pi/N) between ring neighbours."""
-    return 2.0 * radius_km * math.sin(math.pi / n)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from .experiments import (
     sweep_vs_radius,
     verification_report,
     verify_suite,
-    worker_count,
     write_sweep_csv,
     write_verification_json,
 )
@@ -312,7 +311,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rows = verify_suite(
         parties, etas, resolve_schemes(args.scheme),
         sc_phr_uncorrected=args.sc_phr_uncorrected,
-        workers=worker_count(args.workers),
+        workers=args.workers,
     )
     _emit(args, lambda stream: write_verification_json(rows, stream))
     summary = verification_report(rows)["summary"]

@@ -30,7 +30,6 @@ from .heralding import check_oracle_size, compute_metrics
 from .schemes import DEFAULT_ALPHA, SCHEMES, NetworkGeometry, build_scheme, eta_for_geometry
 
 VERIFY_TOL = 1e-9  # relative; see agrees()
-METRIC_NAMES = ("p_suc", "p_hr", "h_eff")
 
 SWEEP_CSV_HEADER = "scheme,N,R_km,alpha,eta,p_suc,p_hr,h_eff,h_th,source"
 

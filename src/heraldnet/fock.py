@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 CANCEL_TOL = 1e-12
 
 # Bits per mode in a packed monomial key: one hex digit per mode, which
-# occupations() and _monomial_weight() read directly.
+# occupations() reads directly.
 BITS = 4
 MAX_OCCUPATION = (1 << BITS) - 1
 
@@ -167,10 +167,15 @@ def occupations(key: int) -> list[tuple[int, int]]:
     return [(i, int(digit, 16)) for i, digit in enumerate(reversed(f"{key:x}")) if digit != "0"]
 
 
+def _ones(key: int) -> int:
+    """0x11...1 with a one in the lowest bit of every nibble of ``key``."""
+    return (1 << (key.bit_length() + BITS - 1) // BITS * BITS) // MAX_OCCUPATION
+
+
 def photons(key: int) -> int:
     """The total photon number of a key of any width: the sum of its
     nibbles, counted one bit plane at a time."""
-    ones = (1 << (key.bit_length() + BITS - 1) // BITS * BITS) // MAX_OCCUPATION  # 0x11...1
+    ones = _ones(key)
     return ((key & ones).bit_count() + 2 * (key >> 1 & ones).bit_count()
             + 4 * (key >> 2 & ones).bit_count() + 8 * (key >> 3 & ones).bit_count())
 
@@ -199,11 +204,14 @@ def with_photons(state: PhotonicState, counts: Mapping[int, int]) -> PhotonicSta
 
 
 def _monomial_weight(key: int) -> float:
-    """prod(occupation!) of a monomial: its squared norm at unit amplitude."""
+    """prod(occupation!) of a monomial: its squared norm at unit amplitude,
+    over the nibbles with a bit above the lowest plane (two or more photons)."""
     w = 1.0
-    for digit in f"{key:x}":
-        if digit > "1":
-            w *= math.factorial(int(digit, 16))
+    high = (key >> 1 | key >> 2 | key >> 3) & _ones(key)
+    while high:
+        low = high & -high
+        w *= math.factorial((key >> (low.bit_length() - 1)) & MAX_OCCUPATION)
+        high ^= low
     return w
 
 

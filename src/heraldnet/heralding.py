@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .fock import (
-    BITS,
     MAX_OCCUPATION,
     PhotonicState,
     _monomial_weight,
@@ -86,20 +85,26 @@ def detector_rotation(spec: SchemeSpec) -> LinearMap:
     return LinearMap(spec.registry, columns)
 
 
+def station_masks(spec: SchemeSpec) -> tuple[int, ...]:
+    """The packed mask of each detector station's two modes, in station order."""
+    return tuple(
+        pack(dict.fromkeys((h.index, v.index), MAX_OCCUPATION)) for h, v in spec.detector_stations
+    )
+
+
 def detection_ready_state(build: SchemeBuild) -> PhotonicState:
     """The heralded part of the evolved state, with detector slots aligned
     to the measurement basis so occupation projections implement the
     detection.
 
-    Every stage is applied with a herald (see :func:`heraldnet.optics.apply`):
-    a station's reach after a stage is every mode with a column entry, zero
-    or not, into the station in the composed later stages, and the herald's
-    ``must`` is every mode whose column entries there all lie in stations,
-    so no numerical cancellation can drop a key that heralds.  The masks are
-    derived here rather than by the builders, so building stays cheap.  The
-    last stage keeps exactly one photon per station.  The result is the
-    heralded part of the full evolution, summed in the same order; its
-    squared norm is P_hr.
+    Every stage is applied with a herald (see :func:`heraldnet.optics.apply`).
+    The last stage keeps exactly one photon per station; each earlier
+    stage's masks are the next stage's lifted back through it by
+    :func:`heraldnet.optics.feed_masks` (reach by any column entry, zero or
+    not, ``must`` by all of them), so no numerical cancellation can drop a
+    key that heralds.  The masks are derived here rather than by the
+    builders, so building stays cheap.  The result is the heralded part of
+    the full evolution, summed in the same order; its squared norm is P_hr.
 
     For diagonal-basis detection the basis rotation is composed into the
     final circuit stage, which saves one full pass over the largest state;
@@ -108,17 +113,12 @@ def detection_ready_state(build: SchemeBuild) -> PhotonicState:
     stages = list(build.circuit.stages)
     if build.spec.detection_basis == "DA":
         stages[-1] = compose_maps(stages[-1], detector_rotation(build.spec))
-    stations = tuple(
-        pack(dict.fromkeys((h.index, v.index), MAX_OCCUPATION))
-        for h, v in build.spec.detector_stations
-    )
-    every_station = sum(stations)  # the stations share no mode
-    heralds = [Herald(stations, every_station, final=True)]
-    later = stages[-1]
-    for stage in reversed(stages[:-1]):
-        (must,) = feed_masks(later, (every_station,), every=True)
-        heralds.append(Herald(feed_masks(later, stations), must))
-        later = compose_maps(stage, later)
+    reach = station_masks(build.spec)
+    must = sum(reach)  # the stations share no mode
+    heralds = [Herald(reach, final=True)]
+    for stage in reversed(stages[1:]):
+        reach, (must,) = feed_masks(stage, reach), feed_masks(stage, (must,), every=True)
+        heralds.append(Herald(reach, must))
     state = build.state
     for stage, herald in zip(stages, reversed(heralds)):
         state = apply(stage, state, term_cap=DEFAULT_TERM_BUDGET, herald=herald)
@@ -153,14 +153,14 @@ class PatternOutcome:
             return 0.0
         return self.success_probability / self.probability
 
-    def feedforward_phase(self, tol: float = AMPLITUDE_TOL) -> float:
+    def feedforward_phase(self) -> float:
         """Relative phase between the two GHZ branches, in [0, 2 pi).
 
-        A branch is absent when its amplitude is at most ``tol`` times
-        sqrt(probability), the largest it can be for this pattern.
+        A branch is absent when its amplitude is at most ``AMPLITUDE_TOL``
+        times sqrt(probability), the largest it can be for this pattern.
         """
         x, y = self.ghz_amplitudes
-        scale = tol * math.sqrt(self.probability)
+        scale = AMPLITUDE_TOL * math.sqrt(self.probability)
         if abs(x) <= scale or abs(y) <= scale:
             raise NoGhzComponentError(
                 f"pattern {''.join(self.pattern)} has no correctable GHZ component"
@@ -198,26 +198,21 @@ class Metrics:
 def analyze_patterns(build: SchemeBuild) -> list[PatternOutcome]:
     """One pass over the evolved state, bucketed by detector signature."""
     spec = build.spec
-    detector_indices = [m.index for pair in spec.detector_stations for m in pair]
-    d_min = len(spec.registry) - len(detector_indices)
-    if detector_indices != list(range(d_min, len(spec.registry))):
-        raise ValueError(
-            "detector modes must be the last registered modes, in station order"
-        )
     ready = detection_ready_state(build)
     env_mask = pack(dict.fromkeys((m.index for m in spec.environment_modes), MAX_OCCUPATION))
 
-    # Detector modes come last, so a key's bits from d_shift up are its click signature.
-    d_shift = BITS * d_min
+    # A key's bits in the detector modes are its click signature.
+    detector_mask = sum(station_masks(spec))
     buckets: dict[int, dict[int, complex]] = {}
     for key, amp in ready.amplitudes.items():
-        buckets.setdefault(key >> d_shift, {})[key] = amp
+        buckets.setdefault(key & detector_mask, {})[key] = amp
 
     letters = BASIS_LETTERS[spec.detection_basis]
     outcomes = []
     for pattern in enumerate_patterns(spec.n_parties, spec.detection_basis):
-        clicks = {detector_indices[2 * i + letters.index(c)]: 1 for i, c in enumerate(pattern)}
-        bucket = buckets.get(pack(clicks) >> d_shift, {})
+        clicks = {station[letters.index(c)].index: 1
+                  for station, c in zip(spec.detector_stations, pattern)}
+        bucket = buckets.get(pack(clicks), {})
         conditional = PhotonicState(spec.registry, bucket)
         bras = tuple(with_photons(s, clicks) for s in spec.ghz_pair)
         amplitudes = tuple(inner_product(bra, conditional) for bra in bras)

@@ -212,7 +212,7 @@ class Herald(NamedTuple):
     takes one photon of its own, so a key with a heralded descendant holds at
     most ``len(reach)`` photons in ``must`` and at least that many in the
     union of ``reach``.  On the ``final`` stage each mask is the station
-    itself, which takes one photon only."""
+    itself, which takes one photon only, and ``must`` is not read."""
 
     reach: tuple[int, ...]
     must: int = 0
@@ -243,13 +243,15 @@ def apply(
     With a ``herald``, only outputs that meet every reach mask and the
     photon-count bound of :class:`Herald` are kept, and nothing else is
     built.  Occupations only grow during the expansion, so a monomial that
-    fails either test, lifted through the map as :func:`feed_masks` does, is
-    skipped whole, and right after the last mapped mode that can feed a mask
-    is expanded, the partial monomials that miss it are dropped.  On the
-    final stage a partial also never takes a column entry into a station
-    that already holds a photon, so every station ends with exactly one.  A
-    dropped monomial has no kept descendant, so every kept amplitude is the
-    same sum, in the same order, as without ``herald``.
+    misses a reach mask, lifted through the map as :func:`feed_masks` does,
+    is skipped whole, and right after the last mapped mode that can feed a
+    mask is expanded, the partial monomials that miss it are dropped.  The
+    count bound is tested on outputs only: lifted heralds already enforce it
+    on the inputs.  On the final stage a partial also never takes a column
+    entry into a station that already holds a photon, so every station ends
+    with exactly one.  A dropped monomial has no kept descendant, so every
+    kept amplitude is the same sum, in the same order, as without
+    ``herald``.
 
     Like terms are merged with :func:`heraldnet.fock.cancel_add`, so a
     cancellation leaves an exact zero, and partials whose amplitude is an
@@ -282,8 +284,6 @@ def apply(
     ]
     # feeds[s]: the modes whose photons can end up in reach mask s.
     feeds = feed_masks(transform, reach)
-    # can_in, must_in: the count bound's masks, lifted through the map.
-    (can_in,), (must_in,) = feed_masks(transform, (can,)), feed_masks(transform, (must,), every=True)
     new_terms: dict[int, complex] = {}
     for key, amp in state.amplitudes.items():
         rest = key & ~in_mask
@@ -294,7 +294,7 @@ def apply(
                 f"occupied mode {mode.spatial_label}/{mode.polarization} is unmapped "
                 "but appears among the map outputs"
             )
-        if not all(key & f for f in feeds) or not photons(key & must_in) <= n <= photons(key & can_in):
+        if not all(key & f for f in feeds):
             continue
         # closing[shift]: the masks not yet met that no photon past that mapped mode feeds.
         closing: dict[int, list[int]] = {}
@@ -329,8 +329,9 @@ def apply(
     return PhotonicState(state.registry, new_terms)
 
 
-def is_isometry(transform: LinearMap, tol: float = ISOMETRY_TOL) -> bool:
-    """True iff the Gram matrix of the map's columns is the identity."""
+def is_isometry(transform: LinearMap) -> bool:
+    """True iff the Gram matrix of the map's columns is the identity, to
+    within ``ISOMETRY_TOL`` per entry."""
     items = sorted(transform.columns.items())
     vecs = [dict(col) for _, col in items]
     for i, vi in enumerate(vecs):
@@ -342,7 +343,7 @@ def is_isometry(transform: LinearMap, tol: float = ISOMETRY_TOL) -> bool:
                 if other is not None:
                     acc += c.conjugate() * other
             want = 1.0 if i == j else 0.0
-            if abs(acc - want) > tol:
+            if abs(acc - want) > ISOMETRY_TOL:
                 return False
     return True
 

@@ -83,8 +83,13 @@ class NetworkGeometry:
         neighbour chord 2R sin(pi/N) for the decentralized one."""
         _check_scheme(scheme)
         if scheme == "sd":
-            return 2.0 * self.radius_km * math.sin(math.pi / self.n_parties)
+            return chord_length(self.radius_km, self.n_parties)
         return self.radius_km
+
+
+def chord_length(radius_km: float, n: int) -> float:
+    """Distance 2 R sin(pi/N) between ring neighbours."""
+    return 2.0 * radius_km * math.sin(math.pi / n)
 
 
 def eta_for_geometry(scheme: str, geometry: NetworkGeometry) -> float:
@@ -220,12 +225,11 @@ def _decentral_feedforward(n: int) -> Callable[[tuple[str, ...]], float]:
 # Builders
 # ----------------------------------------------------------------------
 
-def build_bc(n: int, eta: float, compensate_c1: bool = True) -> SchemeBuild:
+def build_bc(n: int, eta: float) -> SchemeBuild:
     """Bell-pair scheme with a central heralding station.
 
-    ``compensate_c1`` inserts the pi phase plate on path ``c1`` before the
-    central splitters; it flips no measurable quantity and is exposed only
-    so the invariance can be tested.
+    A pi phase plate sits on path ``c1`` before the central splitters; it
+    flips no measurable quantity.
     """
     _check_params(n, eta)
     registry = ModeRegistry()
@@ -234,13 +238,7 @@ def build_bc(n: int, eta: float, compensate_c1: bool = True) -> SchemeBuild:
     f = _register_pairs(registry, "f", n, "environment")
     d = _register_pairs(registry, "d", n, "detector")
 
-    stages: list[LinearMap] = []
-    if compensate_c1:
-        stages.append(
-            merge_maps([phase_plate(c[0][0], math.pi), phase_plate(c[0][1], math.pi)])
-        )
-    stages.append(_loss_stage(c, f, eta))
-    stages.append(_central_pbs_stage(c, d, n))
+    stages = (_c1_plate(c), _loss_stage(c, f, eta), _central_pbs_stage(c, d, n))
 
     spec = SchemeSpec(
         scheme="bc",
@@ -254,10 +252,10 @@ def build_bc(n: int, eta: float, compensate_c1: bool = True) -> SchemeBuild:
         ghz_pair=(_diagonal_string(b, +1.0), _diagonal_string(b, -1.0)),
         feedforward_rule=_central_feedforward(n),
     )
-    return SchemeBuild(bell_initial_state(registry, n), Circuit(registry, tuple(stages)), spec)
+    return SchemeBuild(bell_initial_state(registry, n), Circuit(registry, stages), spec)
 
 
-def build_sc(n: int, eta: float, compensate_c1: bool = True) -> SchemeBuild:
+def build_sc(n: int, eta: float) -> SchemeBuild:
     """Single-photon scheme with the same central station as ``bc``."""
     _check_params(n, eta)
     registry = ModeRegistry()
@@ -271,13 +269,8 @@ def build_sc(n: int, eta: float, compensate_c1: bool = True) -> SchemeBuild:
     for i in range(n):
         splitters.append(bs_5050(a[i][0], b[i][0], c[i][0]))
         splitters.append(bs_5050(a[i][1], b[i][1], c[i][1]))
-    stages: list[LinearMap] = [merge_maps(splitters)]
-    if compensate_c1:
-        stages.append(
-            merge_maps([phase_plate(c[0][0], math.pi), phase_plate(c[0][1], math.pi)])
-        )
-    stages.append(_loss_stage(c, f, eta))
-    stages.append(_central_pbs_stage(c, d, n))
+    stages = (merge_maps(splitters), _c1_plate(c), _loss_stage(c, f, eta),
+              _central_pbs_stage(c, d, n))
 
     spec = SchemeSpec(
         scheme="sc",
@@ -291,7 +284,7 @@ def build_sc(n: int, eta: float, compensate_c1: bool = True) -> SchemeBuild:
         ghz_pair=(_diagonal_string(b, +1.0), _diagonal_string(b, -1.0)),
         feedforward_rule=_central_feedforward(n),
     )
-    return SchemeBuild(single_photon_initial_state(registry, n), Circuit(registry, tuple(stages)), spec)
+    return SchemeBuild(single_photon_initial_state(registry, n), Circuit(registry, stages), spec)
 
 
 def build_sd(n: int, eta: float) -> SchemeBuild:
@@ -335,6 +328,10 @@ def build_scheme(scheme: str, n: int, eta: float) -> SchemeBuild:
     if scheme == "sc":
         return build_sc(n, eta)
     return build_sd(n, eta)
+
+
+def _c1_plate(c: list[tuple[Mode, Mode]]) -> LinearMap:
+    return merge_maps([phase_plate(c[0][0], math.pi), phase_plate(c[0][1], math.pi)])
 
 
 def _loss_stage(

@@ -16,7 +16,7 @@ import math
 
 import pytest
 
-from conftest import GRID_ETAS, GRID_PARTIES, GRID_SCHEMES, explicit_evolution
+from conftest import GRID_ETAS, GRID_PARTIES, GRID_SCHEMES, explicit_evolution, without_c1_plate
 from heraldnet.analytic import (
     asymptotic_chord,
     chord_length,
@@ -387,7 +387,7 @@ class TestCriterion7:
                 for eta in (1.0, 0.8):
                     build = build_scheme(scheme, n, eta)
                     for k, stage in enumerate(build.circuit.stages):
-                        if not is_isometry(stage, tol=1e-12):
+                        if not is_isometry(stage):
                             bad.append(f"{scheme}-n{n}-eta{eta:g} stage {k}")
         record_acceptance(
             7, self.TITLE, "all stages isometric", not bad, "; ".join(bad[:3])
@@ -429,7 +429,7 @@ class TestCriterion7:
     def test_phase_plate_toggle(self, scheme, record_acceptance):
         builder = {"bc": build_bc, "sc": build_sc}[scheme]
         with_plates = compute_metrics(builder(2, 0.9))
-        bare = compute_metrics(builder(2, 0.9, compensate_c1=False))
+        bare = compute_metrics(without_c1_plate(builder(2, 0.9)))
         diff = max(
             abs(with_plates.p_suc - bare.p_suc),
             abs(with_plates.p_hr - bare.p_hr),

@@ -1,6 +1,7 @@
 """Sparse state algebra: registry, norms, inner products, photon appends."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import example, given
@@ -10,6 +11,7 @@ from heraldnet.fock import (
     MAX_OCCUPATION,
     ModeRegistry,
     RegistryError,
+    _monomial_weight,
     inner_product,
     norm_squared,
     occupations,
@@ -128,6 +130,15 @@ def test_photons_is_the_occupation_sum(counts):
     # exact for keys of any width, not only the first 64 modes
     key = pack(counts)
     assert photons(key) == sum(k for _, k in occupations(key)) == sum(counts.values())
+
+
+@given(st.lists(st.integers(0, 200), max_size=MAX_OCCUPATION))
+@example([64, 64, 100, 100, 100, 3])
+@example([0] * MAX_OCCUPATION)
+def test_monomial_weight_is_the_factorial_product(modes):
+    # read by bit planes, for keys of any width holding at most MAX_OCCUPATION photons
+    key = pack(Counter(modes))
+    assert _monomial_weight(key) == math.prod(math.factorial(k) for _, k in occupations(key))
 
 
 @pytest.mark.parametrize("count", [-1, MAX_OCCUPATION + 1])

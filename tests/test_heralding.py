@@ -7,7 +7,7 @@ from operator import or_
 
 import pytest
 
-from conftest import explicit_evolution, heralded_part
+from conftest import explicit_evolution, heralded_part, without_c1_plate
 from heraldnet import heralding
 from heraldnet.analytic import closed_p_suc, exact_h_eff, exact_p_hr
 from heraldnet.fock import PhotonicState, norm_squared, pack, photons
@@ -253,7 +253,7 @@ class TestPatternOutcomes:
 
     @pytest.mark.parametrize("builder", [build_bc, build_sc])
     def test_compensation_plates_do_not_change_outcomes(self, builder):
-        plain = analyze_patterns(builder(3, 0.9, compensate_c1=False))
+        plain = analyze_patterns(without_c1_plate(builder(3, 0.9)))
         compensated = analyze_patterns(builder(3, 0.9))
         for a, b in zip(plain, compensated):
             assert a.pattern == b.pattern
@@ -273,6 +273,20 @@ class TestPatternOutcomes:
             rotated = pattern[1:] + pattern[:1]
             assert outcomes[rotated][0] == pytest.approx(prob, abs=1e-12)
             assert outcomes[rotated][1] == pytest.approx(amp, abs=1e-12)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_station_order_is_free(self, scheme):
+        # listing the stations in reverse reverses every pattern and changes no float
+        build = build_scheme(scheme, 3, 0.9)
+        spec = dataclasses.replace(
+            build.spec, detector_stations=tuple(reversed(build.spec.detector_stations))
+        )
+        reference = {o.pattern: o for o in analyze_patterns(build)}
+        for outcome in analyze_patterns(build._replace(spec=spec)):
+            expected = reference[outcome.pattern[::-1]]
+            assert outcome.probability == expected.probability
+            assert outcome.ghz_amplitudes == expected.ghz_amplitudes
+            assert outcome.environment_histogram == expected.environment_histogram
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_breakdown_sorted_and_consistent(self, scheme):
@@ -321,14 +335,6 @@ class TestBasisChange:
 
 
 class TestErrors:
-    def test_detectors_must_be_the_last_registered_modes(self):
-        build = build_sc(2, 0.9)
-        spec = dataclasses.replace(
-            build.spec, detector_stations=tuple(reversed(build.spec.detector_stations))
-        )
-        with pytest.raises(ValueError, match="last registered modes"):
-            analyze_patterns(SchemeBuild(build.state, build.circuit, spec))
-
     def test_metrics_reject_success_above_herald(self):
         with pytest.raises(ValueError):
             Metrics("bc", 2, 0.9, p_suc=0.3, p_hr=0.2)

@@ -1,9 +1,11 @@
 """Tests for the three network builders and the ring geometry helpers."""
 
+import cmath
 import math
 
 import pytest
 
+from conftest import without_c1_plate
 from heraldnet.fock import norm_squared, inner_product, state_from_creation_product
 from heraldnet.optics import apply, is_isometry
 from heraldnet.schemes import (
@@ -167,21 +169,13 @@ class TestStructure:
     def test_detection_basis(self, scheme, basis):
         assert build_scheme(scheme, 2, 0.9).spec.detection_basis == basis
 
-    def test_detectors_registered_last(self):
-        # the herald scan assumes detector indices form the top block
-        for scheme in SCHEMES:
-            spec = build_scheme(scheme, 3, 0.9).spec
-            detector_indices = sorted(
-                m.index for pair in spec.detector_stations for m in pair
-            )
-            top = len(spec.registry) - len(detector_indices)
-            assert detector_indices == list(range(top, len(spec.registry)))
-
     @pytest.mark.parametrize("builder", [build_bc, build_sc])
     def test_compensation_stage_toggle(self, builder):
         with_plates = builder(2, 0.9)
-        without = builder(2, 0.9, compensate_c1=False)
+        without = without_c1_plate(with_plates)
         assert len(with_plates.circuit.stages) == len(without.circuit.stages) + 1
+        (plate,) = [s for s in with_plates.circuit.stages if s not in without.circuit.stages]
+        assert plate.columns == {idx: ((idx, cmath.exp(1j * math.pi)),) for idx in plate.columns}
 
 
 class TestGhzPair:
