@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .analytic import (
+    DEFAULT_ROOT_TOL_KM,
     chord_length,
     closed_h_eff,
     closed_p_hr,
@@ -28,6 +29,7 @@ from .analytic import (
 )
 from .heralding import check_oracle_size, compute_metrics
 from .schemes import DEFAULT_ALPHA, SCHEMES, NetworkGeometry, build_scheme, eta_for_geometry
+from .schemes import _check_scheme
 
 VERIFY_TOL = 1e-9  # relative; see agrees()
 
@@ -46,18 +48,6 @@ def agrees(analytic: float, simulated: float) -> bool:
     """The verify criterion: equal to a relative ``VERIFY_TOL``, with a
     1e-18 absolute floor so that exact zeros match."""
     return math.isclose(analytic, simulated, rel_tol=VERIFY_TOL, abs_tol=1e-18)
-
-
-def worker_count(requested: int | None = None) -> int:
-    """Resolve the worker count: explicit argument, else HERALDNET_THREADS,
-    else 1 (inline execution)."""
-    if requested is not None:
-        return max(1, requested)
-    env = os.environ.get("HERALDNET_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def pool_size(requested: int, n_jobs: int, cpus: int | None) -> int:
@@ -178,7 +168,7 @@ class CrossoverPoint(NamedTuple):
 
 
 def crossover_curve(
-    n_min: int, n_max: int, alpha: float = DEFAULT_ALPHA, tol: float = 1e-9
+    n_min: int, n_max: int, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_ROOT_TOL_KM
 ) -> list[CrossoverPoint]:
     if not 2 <= n_min <= n_max:
         raise ValueError("need 2 <= n_min <= n_max")
@@ -200,7 +190,7 @@ def oracle_metrics_map(
 ) -> dict[tuple[str, int, float], tuple[float, float]]:
     """(scheme, n, eta) -> (p_suc, p_hr) by brute-force simulation."""
     jobs = sorted(set(cases))
-    count = pool_size(worker_count(workers), len(jobs), os.cpu_count())
+    count = pool_size(workers or 1, len(jobs), os.cpu_count())
     if count == 1:
         results = [_oracle_case(job) for job in jobs]
     else:
@@ -241,8 +231,7 @@ def verify_suite(
     reference for its uncorrected variant (divisor 2^N instead of 2^2N).
     """
     for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}")
+        _check_scheme(scheme)
         for n in n_list:
             check_oracle_size(scheme, n)
     for eta in eta_list:

@@ -49,10 +49,6 @@ ISOMETRY_TOL = 1e-12
 Column = tuple[tuple[int, complex], ...]
 
 
-class TermBudgetError(RuntimeError):
-    """Raised when an exact expansion would exceed the configured term cap."""
-
-
 @dataclass(frozen=True)
 class LinearMap:
     """Simultaneous substitution a_dag(in) -> sum coeff * a_dag(out)."""
@@ -65,15 +61,6 @@ class LinearMap:
 
     def __repr__(self) -> str:  # keep debug output short
         return f"LinearMap({len(self.columns)} columns)"
-
-
-@dataclass(frozen=True)
-class Circuit:
-    """Ordered sequence of stages, applied left to right by
-    :func:`heraldnet.heralding.detection_ready_state`."""
-
-    registry: ModeRegistry
-    stages: tuple[LinearMap, ...]
 
 
 def merge_maps(maps: Sequence[LinearMap]) -> LinearMap:
@@ -232,12 +219,7 @@ def feed_masks(transform: LinearMap, masks: Sequence[int], every: bool = False) 
     )
 
 
-def apply(
-    transform: LinearMap,
-    state: PhotonicState,
-    term_cap: int | None = None,
-    herald: Herald | None = None,
-) -> PhotonicState:
+def apply(transform: LinearMap, state: PhotonicState, herald: Herald | None = None) -> PhotonicState:
     """Apply one map to a state by exact monomial expansion.
 
     With a ``herald``, only outputs that meet every reach mask and the
@@ -258,9 +240,10 @@ def apply(
     exact zero are dropped after each mapped mode is expanded: they would
     only add zeros to their descendants.
 
-    Raises :class:`TermBudgetError` if the number of distinct monomials ever
-    exceeds ``term_cap`` and :class:`ModeCollisionError` if an occupied
-    unmapped mode collides with one of the map's outputs.
+    Raises :class:`ModeCollisionError` if an occupied unmapped mode collides
+    with one of the map's outputs.  The term count is not capped here: the
+    drivers bound it by refusing networks past
+    :data:`heraldnet.heralding.ORACLE_MAX_PARTIES`.
     """
     if transform.registry is not state.registry:
         raise RegistryError("map and state use different registries")
@@ -324,8 +307,6 @@ def apply(
                 continue
             cur = new_terms.get(out)
             new_terms[out] = value if cur is None else cancel_add(cur, value)
-        if term_cap is not None and len(new_terms) > term_cap:
-            raise TermBudgetError(f"expansion exceeded the term cap of {term_cap}")
     return PhotonicState(state.registry, new_terms)
 
 

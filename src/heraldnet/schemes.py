@@ -1,6 +1,6 @@
 """Network builders for the three heralded GHZ distribution schemes.
 
-Each builder returns the initial photonic state, the staged circuit, and a
+Each builder returns the initial photonic state, the circuit stages, and a
 :class:`SchemeSpec` describing where the detectors, retained qubits and
 environment sit.  Party indices are 1-based and all "next party" wiring is
 cyclic: ``nxt(i) = i % n + 1``.
@@ -43,7 +43,6 @@ from .fock import (
     with_photons,
 )
 from .optics import (
-    Circuit,
     LinearMap,
     bs_5050,
     loss_channel,
@@ -121,8 +120,10 @@ class SchemeSpec:
 
 
 class SchemeBuild(NamedTuple):
+    """Initial state, circuit stages in the order they apply, and spec."""
+
     state: PhotonicState
-    circuit: Circuit
+    stages: tuple[LinearMap, ...]
     spec: SchemeSpec
 
 
@@ -252,7 +253,7 @@ def build_bc(n: int, eta: float) -> SchemeBuild:
         ghz_pair=(_diagonal_string(b, +1.0), _diagonal_string(b, -1.0)),
         feedforward_rule=_central_feedforward(n),
     )
-    return SchemeBuild(bell_initial_state(registry, n), Circuit(registry, stages), spec)
+    return SchemeBuild(bell_initial_state(registry, n), stages, spec)
 
 
 def build_sc(n: int, eta: float) -> SchemeBuild:
@@ -284,7 +285,7 @@ def build_sc(n: int, eta: float) -> SchemeBuild:
         ghz_pair=(_diagonal_string(b, +1.0), _diagonal_string(b, -1.0)),
         feedforward_rule=_central_feedforward(n),
     )
-    return SchemeBuild(single_photon_initial_state(registry, n), Circuit(registry, stages), spec)
+    return SchemeBuild(single_photon_initial_state(registry, n), stages, spec)
 
 
 def build_sd(n: int, eta: float) -> SchemeBuild:
@@ -317,7 +318,7 @@ def build_sd(n: int, eta: float) -> SchemeBuild:
         ghz_pair=(_canonical_string(e, "H"), _canonical_string(e, "V")),
         feedforward_rule=_decentral_feedforward(n),
     )
-    return SchemeBuild(single_photon_initial_state(registry, n), Circuit(registry, stages), spec)
+    return SchemeBuild(single_photon_initial_state(registry, n), stages, spec)
 
 
 def build_scheme(scheme: str, n: int, eta: float) -> SchemeBuild:

@@ -16,7 +16,7 @@ import pytest
 
 from heraldnet.fock import BITS, MAX_OCCUPATION
 from heraldnet.heralding import Metrics, compute_metrics, detector_rotation
-from heraldnet.optics import Circuit, apply
+from heraldnet.optics import apply
 from heraldnet.schemes import build_scheme
 
 GRID_PARTIES = (2, 3, 4)
@@ -33,7 +33,7 @@ def explicit_evolution(build):
     """The full output state: every circuit stage, then the detector rotation
     for diagonal-basis detection, each applied on its own and unheralded."""
     state = build.state
-    for stage in build.circuit.stages:
+    for stage in build.stages:
         state = apply(stage, state)
     if build.spec.detection_basis == "DA":
         state = apply(detector_rotation(build.spec), state)
@@ -44,8 +44,8 @@ def without_c1_plate(build):
     """``build`` with the stage that acts on path c1 alone, the central
     schemes' pi phase plate, dropped from its circuit."""
     c1 = {build.spec.registry.get("c1", p).index for p in ("H", "V")}
-    stages = tuple(s for s in build.circuit.stages if set(s.columns) != c1)
-    return build._replace(circuit=Circuit(build.circuit.registry, stages))
+    stages = tuple(s for s in build.stages if set(s.columns) != c1)
+    return build._replace(stages=stages)
 
 
 def heralded_part(build, state):

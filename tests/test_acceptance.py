@@ -386,7 +386,7 @@ class TestCriterion7:
             for n in (2, 3):
                 for eta in (1.0, 0.8):
                     build = build_scheme(scheme, n, eta)
-                    for k, stage in enumerate(build.circuit.stages):
+                    for k, stage in enumerate(build.stages):
                         if not is_isometry(stage):
                             bad.append(f"{scheme}-n{n}-eta{eta:g} stage {k}")
         record_acceptance(

@@ -117,6 +117,13 @@ class TestSimulate:
         assert code == 1
         assert "heralding efficiency undefined at eta=0" in err
 
+    @pytest.mark.parametrize("eta", ["1.5", "-0.1", "nan"])
+    def test_eta_out_of_range_is_rejected(self, capsys, eta):
+        code, out, err = run(capsys, ["simulate", "--scheme", "all", "--parties", "2", "--eta", eta])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: transmission eta must lie in [0, 1], got {float(eta)}\n"
+
     def test_eta_and_radius_conflict(self, capsys):
         code, _, err = run(
             capsys,
@@ -304,15 +311,6 @@ class TestExtremeAttenuation:
 
 
 class TestErrorExits:
-    def test_term_budget_is_an_error_line(self, capsys, monkeypatch):
-        monkeypatch.setattr(heralding, "DEFAULT_TERM_BUDGET", 10)
-        code, out, err = run(
-            capsys, ["simulate", "--scheme", "sc", "--parties", "2", "--eta", "0.9"]
-        )
-        assert code == 1
-        assert out == ""
-        assert err == "error: expansion exceeded the term cap of 10\n"
-
     def test_root_bracket_failure_is_an_error_line(self, capsys):
         # the root's alpha*R grows like N ln(2)/(4 pi): past the bracket limit here
         code, out, err = run(capsys, ["crossover", "--parties", "50000..50000"])

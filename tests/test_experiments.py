@@ -28,11 +28,10 @@ from heraldnet.experiments import (
     sweep_vs_radius,
     verification_report,
     verify_suite,
-    worker_count,
     write_sweep_csv,
     write_verification_json,
 )
-from heraldnet.schemes import SCHEMES, NetworkGeometry, eta_for_geometry
+from heraldnet.schemes import SCHEMES, NetworkGeometry, build_scheme, eta_for_geometry
 
 
 class TestSweep:
@@ -130,6 +129,13 @@ class TestVerifySuite:
         assert DEFAULT_VERIFY_ETAS == (1.0, 0.9, 0.7, 0.5)
         assert VERIFY_TOL == 1e-9
 
+    def test_unknown_scheme_has_the_builder_message(self):
+        with pytest.raises(ValueError) as built:
+            build_scheme("xx", 2, 0.9)
+        with pytest.raises(ValueError) as verified:
+            verify_suite(schemes=["xx"])
+        assert str(verified.value) == str(built.value)
+
     def test_lossless_rows_all_pass(self):
         rows = verify_suite(n_list=[2], eta_list=[1.0])
         assert len(rows) == 9
@@ -226,16 +232,24 @@ class TestOracleHelpers:
         lossy_suc, lossy_hr = table[("bc", 2, 0.9)]
         assert lossy_suc == pytest.approx(lossy_hr, abs=1e-12)
 
-    def test_worker_count_default_and_override(self, monkeypatch):
-        monkeypatch.delenv("HERALDNET_THREADS", raising=False)
-        assert worker_count() == 1
-        assert worker_count(3) == 3
-        monkeypatch.setenv("HERALDNET_THREADS", "2")
-        assert worker_count() == 2
-        # explicit request wins over the environment
-        assert worker_count(5) == 5
-        monkeypatch.setenv("HERALDNET_THREADS", "junk")
-        assert worker_count() == 1
+    def test_real_pool_writes_the_same_bytes_as_one_worker(self, monkeypatch):
+        sizes = []
+        real_pool = experiments.ProcessPoolExecutor
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        written = {}
+        for workers in (2, 1):
+            rows = verify_suite([2], [1.0, 0.9], ["bc", "sc"], workers=workers)
+            stream = io.StringIO()
+            write_verification_json(rows, stream)
+            written[workers] = stream.getvalue()
+        assert sizes == [2]  # two worker processes ran; one worker runs inline
+        assert written[2] == written[1]
 
     @pytest.mark.parametrize(
         "requested, n_jobs, cpus, expected",

@@ -86,7 +86,7 @@ class TestDetectionPipeline:
         build = builder(2, 0.9)
         fused = detection_ready_state(build)
         state = build.state
-        for stage in build.circuit.stages:
+        for stage in build.stages:
             state = apply(stage, state)
         assert fused.amplitudes == heralded_part(build, state)
 
@@ -94,7 +94,7 @@ class TestDetectionPipeline:
         build = build_sd(2, 0.9)
         rotation = detector_rotation(build.spec)
         state = build.state
-        for stage in build.circuit.stages:
+        for stage in build.stages:
             state = apply(stage, state)
         twice = apply(rotation, apply(rotation, state))
         assert twice.terms.keys() == state.terms.keys()
@@ -125,7 +125,7 @@ class TestDetectionPipeline:
         # keys, same floats, same order
         build = build_scheme(scheme, n, eta)
         calls = self._filtered_stages(monkeypatch, build)
-        assert len(calls) == len(build.circuit.stages)
+        assert len(calls) == len(build.stages)
         full = build.state
         for stage, herald, kept in calls[:-1]:
             assert not herald.final
@@ -320,14 +320,14 @@ class TestBasisChange:
         build = build_sd(2, 0.9)
         reference = compute_metrics(build)
         spec = dataclasses.replace(build.spec, detection_basis="HV")
-        rotated = compute_metrics(SchemeBuild(build.state, build.circuit, spec))
+        rotated = compute_metrics(SchemeBuild(build.state, build.stages, spec))
         assert rotated.p_hr == pytest.approx(reference.p_hr, abs=1e-10)
         assert rotated.p_suc == pytest.approx(0.5 * reference.p_suc, abs=1e-10)
 
     def test_canonical_detection_kills_mixed_patterns(self):
         build = build_sd(2, 0.9)
         spec = dataclasses.replace(build.spec, detection_basis="HV")
-        outcomes = analyze_patterns(SchemeBuild(build.state, build.circuit, spec))
+        outcomes = analyze_patterns(SchemeBuild(build.state, build.stages, spec))
         by_pattern = {o.pattern: o.probability for o in outcomes}
         assert by_pattern[("H", "V")] == pytest.approx(0.0, abs=1e-12)
         assert by_pattern[("V", "H")] == pytest.approx(0.0, abs=1e-12)
@@ -342,6 +342,12 @@ class TestErrors:
     def test_metrics_reject_negative_success(self):
         with pytest.raises(ValueError):
             Metrics("bc", 2, 0.9, p_suc=-0.1, p_hr=0.2)
+
+    def test_metrics_success_bound_is_relative(self):
+        # an absolute slack would let p_suc exceed a tiny p_hr by orders of magnitude
+        with pytest.raises(ValueError):
+            Metrics("sd", 4, 0.01, p_suc=1e-13, p_hr=1e-20)
+        Metrics("sd", 4, 0.01, p_suc=1e-20 * (1 + 1e-13), p_hr=1e-20)
 
     def test_metrics_reject_herald_above_one(self):
         with pytest.raises(ValueError):

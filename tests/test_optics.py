@@ -21,7 +21,6 @@ from heraldnet.fock import (
 from heraldnet.optics import (
     Herald,
     LinearMap,
-    TermBudgetError,
     apply,
     bs_5050,
     compose_maps,
@@ -292,16 +291,6 @@ def test_exact_zero_partials_are_not_expanded():
                 if all(bin(k & m).count("1") == 1 for m in stations)]
     assert list(kept.amplitudes.items()) == expected
     assert len(kept) == 4
-
-
-def test_term_budget_enforced():
-    r, pairs, _ = make_registry()
-    a, b, c = pairs["a1"], pairs["b1"], pairs["c1"]
-    stage = merge_maps([bs_5050(a[0], b[0], c[0]), bs_5050(a[1], b[1], c[1])])
-    state = state_from_creation_product(r, [a[0], a[1]])
-    with pytest.raises(TermBudgetError):
-        apply(stage, state, term_cap=2)
-    assert len(apply(stage, state, term_cap=4)) == 4
 
 
 def test_is_isometry_rejects_scaled_column():

@@ -26,7 +26,7 @@ MODES_PER_PARTY = {"bc": 8, "sc": 10, "sd": 14}
 
 def evolve(build):
     state = build.state
-    for stage in build.circuit.stages:
+    for stage in build.stages:
         state = apply(stage, state)
     return state
 
@@ -173,8 +173,8 @@ class TestStructure:
     def test_compensation_stage_toggle(self, builder):
         with_plates = builder(2, 0.9)
         without = without_c1_plate(with_plates)
-        assert len(with_plates.circuit.stages) == len(without.circuit.stages) + 1
-        (plate,) = [s for s in with_plates.circuit.stages if s not in without.circuit.stages]
+        assert len(with_plates.stages) == len(without.stages) + 1
+        (plate,) = [s for s in with_plates.stages if s not in without.stages]
         assert plate.columns == {idx: ((idx, cmath.exp(1j * math.pi)),) for idx in plate.columns}
 
 
@@ -235,7 +235,7 @@ class TestCircuits:
     @pytest.mark.parametrize("eta", [1.0, 0.8])
     def test_every_stage_is_an_isometry(self, scheme, n, eta):
         build = build_scheme(scheme, n, eta)
-        for stage in build.circuit.stages:
+        for stage in build.stages:
             assert is_isometry(stage)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -262,7 +262,7 @@ class TestCircuits:
         # first stage of the decentralized build splits each photon pair
         # into (kept + kept)^2/4 - (ring - ring)^2/4 per party
         build = build_sd(2, 1.0)
-        state = apply(build.circuit.stages[0], build.state)
+        state = apply(build.stages[0], build.state)
         reg = build.spec.registry
         b1h, b1v = reg.get("b1", "H"), reg.get("b1", "V")
         b2h, b2v = reg.get("b2", "H"), reg.get("b2", "V")
