@@ -81,6 +81,13 @@ def resolve_schemes(choice: str) -> list[str]:
     return list(SCHEMES) if choice == "all" else [choice]
 
 
+def _counts_text(values: Sequence[int]) -> str:
+    """A default party list as help text: MIN..MAX when it is a run."""
+    if len(values) > 1 and list(values) == list(range(values[0], values[-1] + 1)):
+        return f"{values[0]}..{values[-1]}"
+    return ", ".join(map(str, values))
+
+
 def _add_alpha(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
                         help="fibre attenuation per km (default %(default)s)")
@@ -116,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="analytic metrics over a radius grid, CSV")
     p_sweep.add_argument("--scheme", choices=(*SCHEMES, "all"), default="all")
     p_sweep.add_argument("--parties", default=None,
-                         help="party count INT or MIN..MAX (default 4, 7, 13, 20)")
+                         help="party count INT or MIN..MAX "
+                              f"(default {_counts_text(DEFAULT_SWEEP_PARTIES)})")
     p_sweep.add_argument("--radius-grid", default=DEFAULT_RADIUS_GRID,
                          help="radius grid START:STOP:STEP in km (default %(default)s)")
     _add_alpha(p_sweep)
@@ -132,9 +140,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="closed forms against brute-force simulation")
     p_verify.add_argument("--scheme", choices=(*SCHEMES, "all"), default="all")
     p_verify.add_argument("--parties", default=None,
-                          help="party count INT or MIN..MAX (default 2..4)")
+                          help="party count INT or MIN..MAX "
+                               f"(default {_counts_text(DEFAULT_VERIFY_PARTIES)})")
     p_verify.add_argument("--eta", type=float, default=None,
-                          help="single transmission value (default grid 1.0 0.9 0.7 0.5)")
+                          help="single transmission value (default grid "
+                               f"{' '.join(map(str, DEFAULT_VERIFY_ETAS))})")
     p_verify.add_argument("--sc-phr-uncorrected", action="store_true",
                           help="compare sc herald probability against the uncorrected "
                                "variant (eta^2N + (3 eta^2 - 2 eta^4)^N)/2^N, which is "

@@ -32,11 +32,12 @@ from .schemes import SchemeBuild, SchemeSpec
 
 # Exhaustive amplitude tracking is exponential in the party count; past these
 # sizes a single case needs minutes and gigabytes, so the drivers refuse it.
-# This cap is the only bound on the term count (559,872 at most, sd N=7).
-# Measured on 2 cores, Python 3.11: bc N=6 0.02 s, sc N=6 2.6 s and 49 MB,
-# sc N=7 24 s and 290 MB, sd N=6 0.4 s and 40 MB, sd N=7 2.7 s and 136 MB;
-# sd at N=8 has 16 photons, more than a packed key holds (MAX_OCCUPATION).
-ORACLE_MAX_PARTIES = {"bc": 6, "sc": 6, "sd": 7}
+# This cap is the only bound on the term count (1,048,576 at most, sc N=7).
+# Measured on 2 cores, Python 3.11, one fresh process per case: bc N=6
+# 0.03 s, sc N=6 0.7 s and 50 MB, sc N=7 6 to 8 s and 290 MB (eta 0.9 and
+# 0.5), sd N=6 0.2 s and 41 MB, sd N=7 1.1 to 1.8 s and 137 MB; sd at N=8
+# has 16 photons, more than a packed key holds (MAX_OCCUPATION).
+ORACLE_MAX_PARTIES = {"bc": 6, "sc": 7, "sd": 7}
 
 AMPLITUDE_TOL = 1e-12
 
@@ -165,8 +166,9 @@ class PatternOutcome:
             raise NoGhzComponentError(
                 f"pattern {''.join(self.pattern)} has no correctable GHZ component"
             )
-        phase = math.atan2((y / x).imag, (y / x).real)
-        return phase % (2.0 * math.pi)
+        phase = math.atan2((y / x).imag, (y / x).real) % (2.0 * math.pi)
+        # A tiny negative angle rounds up to 2 pi itself, which is 0.
+        return 0.0 if phase == 2.0 * math.pi else phase
 
 
 @dataclass(frozen=True)
@@ -179,7 +181,8 @@ class Metrics:
 
     def __post_init__(self) -> None:
         slack = 1e-12
-        if not -slack <= self.p_suc <= self.p_hr * (1.0 + slack):
+        # p_suc is a sum of squares, so it is never negative.
+        if not 0.0 <= self.p_suc <= self.p_hr * (1.0 + slack):
             raise ValueError(
                 f"inconsistent metrics: p_suc={self.p_suc} p_hr={self.p_hr}"
             )

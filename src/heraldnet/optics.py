@@ -222,6 +222,15 @@ def feed_masks(transform: LinearMap, masks: Sequence[int], every: bool = False) 
 def apply(transform: LinearMap, state: PhotonicState, herald: Herald | None = None) -> PhotonicState:
     """Apply one map to a state by exact monomial expansion.
 
+    An input monomial splits into its mapped photons ``key & in_mask`` and
+    its unmapped spectators ``rest``.  The expansion of the mapped photons,
+    started from unit amplitude, is a template of (partial key, coefficient)
+    pairs that depends only on the mapped photons and on which herald masks
+    ``rest`` already meets, so each distinct pair of those is expanded once
+    per call.  Each input then emits ``rest + partial`` with amplitude
+    ``amp * coefficient``, in input order and template order, and a
+    template is freed after its last input.
+
     With a ``herald``, only outputs that meet every reach mask and the
     photon-count bound of :class:`Herald` are kept, and nothing else is
     built.  Occupations only grow during the expansion, so a monomial that
@@ -232,8 +241,7 @@ def apply(transform: LinearMap, state: PhotonicState, herald: Herald | None = No
     on the inputs.  On the final stage a partial also never takes a column
     entry into a station that already holds a photon, so every station ends
     with exactly one.  A dropped monomial has no kept descendant, so every
-    kept amplitude is the same sum, in the same order, as without
-    ``herald``.
+    kept amplitude is the same sum as without ``herald``.
 
     Like terms are merged with :func:`heraldnet.fock.cancel_add`, so a
     cancellation leaves an exact zero, and partials whose amplitude is an
@@ -267,28 +275,39 @@ def apply(transform: LinearMap, state: PhotonicState, herald: Herald | None = No
     ]
     # feeds[s]: the modes whose photons can end up in reach mask s.
     feeds = feed_masks(transform, reach)
-    new_terms: dict[int, complex] = {}
-    for key, amp in state.amplitudes.items():
-        rest = key & ~in_mask
-        clash = rest & out_mask
-        if clash:
-            mode = state.registry.mode(((clash & -clash).bit_length() - 1) // BITS)
-            raise ModeCollisionError(
-                f"occupied mode {mode.spatial_label}/{mode.polarization} is unmapped "
-                "but appears among the map outputs"
-            )
-        if not all(key & f for f in feeds):
-            continue
-        # closing[shift]: the masks not yet met that no photon past that mapped mode feeds.
-        closing: dict[int, list[int]] = {}
-        for m, f in zip(reach, feeds):
+    # open_bits: a template key's bit for each reach mask, above every mode's
+    # nibble, set while the mask is unmet.
+    open_bits = tuple((1 << (s + BITS * len(state.registry)), m) for s, m in enumerate(reach))
+
+    def template_key(key: int, rest: int) -> int:
+        """The mapped photons of ``key``, plus the open bit of each reach
+        mask that ``rest`` does not meet, or -1 if some mask cannot be fed."""
+        for f in feeds:
+            if not key & f:
+                return -1
+        tkey = key & in_mask
+        for bit, m in open_bits:
             if not rest & m:
-                top = (key & f).bit_length() - 1
+                tkey |= bit
+        return tkey
+
+    def expand(tkey: int) -> dict[int, complex]:
+        mapped = tkey & in_mask
+        # closing[shift]: the open masks that no photon past that mapped mode feeds.
+        closing: dict[int, list[int]] = {}
+        for (bit, m), f in zip(open_bits, feeds):
+            if tkey & bit:
+                top = (mapped & f).bit_length() - 1
                 closing.setdefault(top - top % BITS, []).append(m)
-        # poly maps partial output keys to amplitudes for this monomial.
-        poly: dict[int, complex] = {rest: amp}
+        # A station that ``rest`` already fills takes no entry at all.
+        full = {m for bit, m in open_bits if stations and not tkey & bit}
+        poly: dict[int, complex] = {0: 1 + 0j}
         for shift, col in steps:
-            count = (key >> shift) & MAX_OCCUPATION
+            count = (mapped >> shift) & MAX_OCCUPATION
+            if not count:
+                continue
+            if full:
+                col = tuple(e for e in col if e[2] not in full)
             for _ in range(count):
                 nxt: dict[int, complex] = {}
                 for partial, pamp in poly.items():
@@ -300,11 +319,41 @@ def apply(transform: LinearMap, state: PhotonicState, herald: Herald | None = No
                         nxt[out] = pamp * coeff if val is None else cancel_add(val, pamp * coeff)
                 poly = nxt
             closed = closing.get(shift, ())
-            if count and (closed or 0j in poly.values()):
+            if closed or 0j in poly.values():
                 poly = {p: a for p, a in poly.items() if a and all(p & m for m in closed)}
-        for out, value in poly.items():
+        return poly
+
+    # users[t]: the inputs still to emit template t, so it is freed after the last.
+    users: dict[int, int] = {}
+    for key in state.amplitudes:
+        rest = key & ~in_mask
+        clash = rest & out_mask
+        if clash:
+            mode = state.registry.mode(((clash & -clash).bit_length() - 1) // BITS)
+            raise ModeCollisionError(
+                f"occupied mode {mode.spatial_label}/{mode.polarization} is unmapped "
+                "but appears among the map outputs"
+            )
+        tkey = template_key(key, rest)
+        users[tkey] = users.get(tkey, 0) + 1
+    templates: dict[int, dict[int, complex]] = {}
+    new_terms: dict[int, complex] = {}
+    for key, amp in state.amplitudes.items():
+        rest = key & ~in_mask
+        tkey = template_key(key, rest)
+        if tkey < 0:
+            continue
+        template = templates.get(tkey)
+        if template is None:
+            template = templates[tkey] = expand(tkey)
+        users[tkey] -= 1
+        if not users[tkey]:
+            del templates[tkey]
+        for partial, coeff in template.items():
+            out = rest + partial
             if counted and not photons(out & must) <= n <= photons(out & can):
                 continue
+            value = amp * coeff
             cur = new_terms.get(out)
             new_terms[out] = value if cur is None else cancel_add(cur, value)
     return PhotonicState(state.registry, new_terms)

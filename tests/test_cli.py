@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from heraldnet import heralding
+from heraldnet import cli, heralding
 from heraldnet.cli import CliError, main, parse_parties, parse_radius_grid
 from heraldnet.experiments import SWEEP_CSV_HEADER
 
@@ -13,6 +13,25 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestHelp:
+    @pytest.mark.parametrize(
+        ("command", "constant", "value", "text"),
+        [
+            ("verify", "DEFAULT_VERIFY_PARTIES", (3, 4, 5), "MIN..MAX (default 3..5)"),
+            ("verify", "DEFAULT_VERIFY_ETAS", (0.8, 0.6), "(default grid 0.8 0.6)"),
+            ("sweep", "DEFAULT_SWEEP_PARTIES", (5, 9), "MIN..MAX (default 5, 9)"),
+        ],
+    )
+    def test_defaults_in_help_follow_the_constants(
+        self, capsys, monkeypatch, command, constant, value, text
+    ):
+        monkeypatch.setenv("COLUMNS", "200")  # one help line per option
+        monkeypatch.setattr(cli, constant, value)
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert text in capsys.readouterr().out
 
 
 class TestParsers:
@@ -161,6 +180,7 @@ class TestSimulate:
             (["simulate", "--scheme", "all", "--parties", "6..7", "--eta", "0.9"], "bc is capped at 6"),
             (["verify", "--scheme", "sd", "--parties", "8"], "sd is capped at 7"),
             (["simulate", "--scheme", "sd", "--parties", "6..8", "--eta", "0.9"], "sd is capped at 7"),
+            (["simulate", "--scheme", "sc", "--parties", "8", "--eta", "0.9"], "sc is capped at 7"),
         ],
     )
     def test_simulation_cap_is_per_scheme(self, capsys, monkeypatch, argv, message):

@@ -349,6 +349,11 @@ class TestErrors:
             Metrics("sd", 4, 0.01, p_suc=1e-13, p_hr=1e-20)
         Metrics("sd", 4, 0.01, p_suc=1e-20 * (1 + 1e-13), p_hr=1e-20)
 
+    def test_metrics_success_bound_below_is_zero(self):
+        with pytest.raises(ValueError):
+            Metrics("sd", 4, 0.01, p_suc=-1e-13, p_hr=1e-20)
+        Metrics("sd", 4, 0.01, p_suc=0.0, p_hr=1e-20)
+
     def test_metrics_reject_herald_above_one(self):
         with pytest.raises(ValueError):
             Metrics("bc", 2, 0.9, p_suc=0.5, p_hr=1.5)
@@ -381,8 +386,13 @@ class TestErrors:
         assert outcome.ghz_amplitudes[0] == outcome.ghz_amplitudes[1] != 0
         assert outcome.feedforward_phase() == 0.0
 
+    def test_phase_of_tiny_negative_angle_is_zero(self):
+        # atan2 gives -1e-17, and -1e-17 % 2 pi rounds to 2 pi itself
+        outcome = PatternOutcome(("H", "H"), 1.0, (1 + 0j, complex(1, -1e-17)), ((0, 1.0),))
+        assert outcome.feedforward_phase() == 0.0
+
     def test_oracle_size_cap(self):
-        assert ORACLE_MAX_PARTIES == {"bc": 6, "sc": 6, "sd": 7}
+        assert ORACLE_MAX_PARTIES == {"bc": 6, "sc": 7, "sd": 7}
         for scheme, cap in ORACLE_MAX_PARTIES.items():
             check_oracle_size(scheme, cap)
             with pytest.raises(OracleSizeError) as exc:

@@ -13,6 +13,7 @@ from heraldnet.fock import (
     ModeCollisionError,
     ModeRegistry,
     RegistryError,
+    cancel_add,
     norm_squared,
     pack,
     state_from_creation_product,
@@ -230,6 +231,22 @@ def test_stations_drop_doubly_occupied_stations():
     assert apply(stage, state, herald=three).amplitudes == {}
 
 
+def test_station_held_by_a_spectator_takes_no_entry():
+    # c1_H is unmapped and already fills station (c1_H, d1_H), so b1_V may
+    # only go to e1_V: its d1_H entry would put a second photon there.
+    r, pairs, _ = make_registry()
+    a, b, c, d, e = (pairs[k] for k in ("a1", "b1", "c1", "d1", "e1"))
+    stage = LinearMap(r, {
+        a[0].index: ((e[0].index, 1 + 0j),),
+        b[1].index: ((d[0].index, R + 0j), (e[1].index, R + 0j)),
+    })
+    state = state_from_creation_product(r, [a[0], b[1], c[0]])
+    stations = (_station(c[0], d[0]), _station(e[0]))
+    heralded = apply(stage, state, herald=Herald(stations, final=True))
+    assert heralded.amplitudes == {pack({c[0].index: 1, e[0].index: 1, e[1].index: 1}): R}
+    assert len(apply(stage, state)) == 2
+
+
 class _Counted(complex):
     """A coefficient that counts the partial monomials it multiplies."""
 
@@ -291,6 +308,30 @@ def test_exact_zero_partials_are_not_expanded():
                 if all(bin(k & m).count("1") == 1 for m in stations)]
     assert list(kept.amplitudes.items()) == expected
     assert len(kept) == 4
+
+
+def test_shared_mapped_part_is_expanded_once():
+    # a1_H a1_V is expanded once for both inputs, which differ only in their
+    # unmapped spectator (b1_H or e1_V): 2 + 2 * 2 column products, not twice that.
+    r, pairs, _ = make_registry()
+    a, b, c, d, e = (pairs[k] for k in ("a1", "b1", "c1", "d1", "e1"))
+    stage = LinearMap(r, {
+        a[0].index: ((c[0].index, _Counted(R)), (d[0].index, _Counted(R))),
+        a[1].index: ((c[1].index, _Counted(R)), (d[1].index, _Counted(-R))),
+    })
+    inputs = [
+        (0.6, state_from_creation_product(r, [a[0], a[1], b[0]])),
+        (0.8j, state_from_creation_product(r, [a[0], a[1], e[1]])),
+    ]
+    _Counted.uses = 0
+    out = apply(stage, superpose(inputs))
+    assert _Counted.uses == 2 + 2 * 2
+    merged = {}
+    for coeff, state in inputs:
+        for key, amp in apply(stage, superpose([(coeff, state)])).amplitudes.items():
+            merged[key] = cancel_add(merged[key], amp) if key in merged else amp
+    assert list(out.amplitudes.items()) == list(merged.items())
+    assert len(out) == 8
 
 
 def test_is_isometry_rejects_scaled_column():
