@@ -21,14 +21,17 @@ Conventions:
   and nothing else, so an amplitude is never lost for being small.
 * A monomial holds at most ``MAX_OCCUPATION`` photons, so no occupation
   carries into the next mode's bits: photons enter only through
-  :func:`with_photons`, which checks the total, and linear maps conserve it.
+  :func:`with_photons` and :func:`product`, which check the total, and
+  linear maps conserve it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from functools import cache, reduce
+from operator import or_
+from typing import Callable, Iterable, Mapping, Sequence
 
 CANCEL_TOL = 1e-12
 
@@ -45,7 +48,7 @@ class RegistryError(ValueError):
 
 
 class ModeCollisionError(ValueError):
-    """Raised when an unmapped mode collides with a map output."""
+    """Raised when an unmapped mode collides with a map output or two product factors share one."""
 
 
 @dataclass(frozen=True)
@@ -167,17 +170,48 @@ def occupations(key: int) -> list[tuple[int, int]]:
     return [(i, int(digit, 16)) for i, digit in enumerate(reversed(f"{key:x}")) if digit != "0"]
 
 
-def _ones(key: int) -> int:
-    """0x11...1 with a one in the lowest bit of every nibble of ``key``."""
-    return (1 << (key.bit_length() + BITS - 1) // BITS * BITS) // MAX_OCCUPATION
+@cache
+def _ones(width: int) -> int:
+    """0x11...1 with a one in the lowest bit of every nibble of a ``width``-bit key (cached)."""
+    return (1 << (width + BITS - 1) // BITS * BITS) // MAX_OCCUPATION
 
 
 def photons(key: int) -> int:
     """The total photon number of a key of any width: the sum of its
     nibbles, counted one bit plane at a time."""
-    ones = _ones(key)
+    ones = _ones(key.bit_length())
     return ((key & ones).bit_count() + 2 * (key >> 1 & ones).bit_count()
             + 4 * (key >> 2 & ones).bit_count() + 8 * (key >> 3 & ones).bit_count())
+
+
+def support(state: PhotonicState) -> int:
+    """The packed mask of every mode that some monomial of ``state`` occupies."""
+    keys = reduce(or_, state.amplitudes, 0)
+    return ((keys | keys >> 1 | keys >> 2 | keys >> 3) & _ones(keys.bit_length())) * MAX_OCCUPATION
+
+
+def product(
+    factors: Sequence[PhotonicState], keep: Callable[[int, int], bool] = lambda j, key: True
+) -> PhotonicState:
+    """The product of states on disjoint modes, taken one factor at a time.
+
+    A partial product ``key`` after factor ``j`` (the new factor's terms
+    outermost) is kept only where ``keep(j, key)``.  Every key is a distinct
+    sum, so each amplitude is a product of one amplitude per factor and
+    nothing is merged.  Raises :class:`ModeCollisionError` if two factors
+    occupy one mode, and ``ValueError`` past ``MAX_OCCUPATION`` photons."""
+    registry, amplitudes, seen, most = factors[0].registry, {0: 1 + 0j}, 0, 0
+    for j, factor in enumerate(factors):
+        if factor.registry is not registry:
+            raise RegistryError("cannot multiply states from different registries")
+        if support(factor) & seen:
+            raise ModeCollisionError("two factors of a product occupy one mode")
+        seen, most = seen | support(factor), most + max(map(photons, factor.amplitudes), default=0)
+        if most > MAX_OCCUPATION:
+            raise ValueError(f"a monomial holds at most {MAX_OCCUPATION} photons")
+        amplitudes = {key: a * b for new, b in factor.amplitudes.items()
+                      for old, a in amplitudes.items() if keep(j, key := old + new)}
+    return PhotonicState(registry, amplitudes)
 
 
 def state_from_creation_product(
@@ -207,7 +241,7 @@ def _monomial_weight(key: int) -> float:
     """prod(occupation!) of a monomial: its squared norm at unit amplitude,
     over the nibbles with a bit above the lowest plane (two or more photons)."""
     w = 1.0
-    high = (key >> 1 | key >> 2 | key >> 3) & _ones(key)
+    high = (key >> 1 | key >> 2 | key >> 3) & _ones(key.bit_length())
     while high:
         low = high & -high
         w *= math.factorial((key >> (low.bit_length() - 1)) & MAX_OCCUPATION)

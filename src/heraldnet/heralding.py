@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, reduce
+from operator import or_
 
 from .fock import (
     MAX_OCCUPATION,
@@ -25,19 +26,21 @@ from .fock import (
     norm_squared,  # noqa: F401 - benchmarks/run.py --trace 1 times heralding.norm_squared
     pack,
     photons,
+    product,
+    support,
     with_photons,
 )
-from .optics import Herald, LinearMap, apply, compose_maps, feed_masks
+from .optics import LinearMap, apply, compose_maps, feed_masks
 from .schemes import SchemeBuild, SchemeSpec
 
 # Exhaustive amplitude tracking is exponential in the party count; past these
 # sizes a single case needs minutes and gigabytes, so the drivers refuse it.
 # This cap is the only bound on the term count (1,048,576 at most, sc N=7).
-# Measured on 2 cores, Python 3.11, one fresh process per case: bc N=6
-# 0.03 s, sc N=6 0.7 s and 50 MB, sc N=7 6 to 8 s and 290 MB (eta 0.9 and
-# 0.5), sd N=6 0.2 s and 41 MB, sd N=7 1.1 to 1.8 s and 137 MB; sd at N=8
-# has 16 photons, more than a packed key holds (MAX_OCCUPATION).
-ORACLE_MAX_PARTIES = {"bc": 6, "sc": 7, "sd": 7}
+# Measured on 2 cores, Python 3.11, one fresh process per case: bc N=7
+# 0.08 s and 17 MB, sc N=6 0.4 s and 49 MB, sc N=7 3.3 to 3.7 s and 290 MB
+# (eta 0.9 and 0.5), sd N=6 0.13 s and 40 MB, sd N=7 0.9 to 1.0 s and 136 MB;
+# at N=8 every scheme has 16 photons, more than a packed key holds (MAX_OCCUPATION).
+ORACLE_MAX_PARTIES = {"bc": 7, "sc": 7, "sd": 7}
 
 AMPLITUDE_TOL = 1e-12
 
@@ -98,32 +101,50 @@ def detection_ready_state(build: SchemeBuild) -> PhotonicState:
     to the measurement basis so occupation projections implement the
     detection.
 
-    Every stage is applied with a herald (see :func:`heraldnet.optics.apply`).
-    The last stage keeps exactly one photon per station; each earlier
-    stage's masks are the next stage's lifted back through it by
-    :func:`heraldnet.optics.feed_masks` (reach by any column entry, zero or
-    not, ``must`` by all of them), so no numerical cancellation can drop a
-    key that heralds.  The masks are derived here rather than by the
-    builders, so building stays cheap.  The result is the heralded part of
-    the full evolution, summed in the same order; its squared norm is P_hr.
-
-    For diagonal-basis detection the basis rotation is composed into the
-    final stage, which saves one full pass over the largest state;
-    the result is identical to applying the rotation separately.
+    Every stage but the last acts on each party alone, so each party's
+    factor goes through them on its own, unheralded.  The factors are
+    multiplied one party at a time (:func:`heraldnet.fock.product`), and a
+    partial product is dropped once the station masks, lifted through the
+    last stage by :func:`heraldnet.optics.feed_masks`, show it cannot
+    herald: a station's reach (modes with any column entry into it) is unmet
+    after the last party that meets it; more than N photons sit in the
+    modes whose every entry lies in a station, or fewer than N, plus the
+    most later parties can add, in those with some entry in one; or two sit
+    in the modes whose every entry lies in one station.  The tests are
+    structural, and kept amplitudes are products of party amplitudes.  The
+    last stage (with the basis rotation composed in for DA detection) is
+    applied under the station herald, so the result is the heralded part of
+    the full evolution, of squared norm P_hr.  Raises ModeCollisionError if
+    a stage before the last couples parties.
     """
-    stages = list(build.stages)
+    *early, final = build.stages
     if build.spec.detection_basis == "DA":
-        stages[-1] = compose_maps(stages[-1], detector_rotation(build.spec))
-    reach = station_masks(build.spec)
-    must = sum(reach)  # the stations share no mode
-    heralds = [Herald(reach, final=True)]
-    for stage in reversed(stages[1:]):
-        reach, (must,) = feed_masks(stage, reach), feed_masks(stage, (must,), every=True)
-        heralds.append(Herald(reach, must))
-    state = build.state
-    for stage, herald in zip(stages, reversed(heralds)):
-        state = apply(stage, state, herald=herald)
-    return state
+        final = compose_maps(final, detector_rotation(build.spec))
+    factors = [reduce(lambda state, stage: apply(stage, state), early, f) for f in build.parties]
+    stations = station_masks(build.spec)
+    reach, singles = feed_masks(final, stations), feed_masks(final, stations, every=True)
+    n, can, (must,) = len(stations), reduce(or_, reach), feed_masks(final, (sum(stations),), True)
+    supports = [support(f) for f in factors]
+    count = cache(photons)  # partial products share their parts in each mask
+    # most[j]: the most photons party j can put in ``can``, at most one per station.
+    most = [max((count(k & can) for k in f.amplitudes
+                 if all(count(k & m) <= 1 for m in singles)), default=0) for f in factors]
+    last = [max((j for j, s in enumerate(supports) if s & m), default=0) for m in reach]
+    # After party j: the reach masks it closes, what later parties can add, the singles it touches.
+    tests = [([m for m, k in zip(reach, last) if k == j], sum(most[j + 1:]),
+              [m for m in singles if m & supports[j]]) for j in range(len(factors))]
+
+    def keep(j: int, key: int) -> bool:
+        closing, spare, touched = tests[j]
+        for m in closing:
+            if not key & m:
+                return False
+        for m in touched:
+            if count(key & m) > 1:
+                return False
+        return count(key & must) <= n <= count(key & can) + spare
+
+    return apply(final, product(factors, keep), stations=stations)
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import or_
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .fock import (
     BITS,
@@ -41,7 +39,6 @@ from .fock import (
     RegistryError,
     cancel_add,
     pack,
-    photons,
 )
 
 ISOMETRY_TOL = 1e-12
@@ -190,22 +187,6 @@ def phase_plate(mode: Mode, phase: float) -> LinearMap:
 # Application and checks
 # ----------------------------------------------------------------------
 
-class Herald(NamedTuple):
-    """What a stage's outputs must allow for a herald to remain possible.
-
-    ``reach[s]`` is the packed mask of the output modes from which a photon
-    can still reach detector station ``s``, and ``must`` the output modes
-    from which every photon ends in a station (0 claims none).  Each station
-    takes one photon of its own, so a key with a heralded descendant holds at
-    most ``len(reach)`` photons in ``must`` and at least that many in the
-    union of ``reach``.  On the ``final`` stage each mask is the station
-    itself, which takes one photon only, and ``must`` is not read."""
-
-    reach: tuple[int, ...]
-    must: int = 0
-    final: bool = False
-
-
 def feed_masks(transform: LinearMap, masks: Sequence[int], every: bool = False) -> tuple[int, ...]:
     """For each mask, the modes whose photons ``transform`` can send into it:
     unmapped modes of the mask, and inputs with a column entry in it (with
@@ -219,29 +200,26 @@ def feed_masks(transform: LinearMap, masks: Sequence[int], every: bool = False) 
     )
 
 
-def apply(transform: LinearMap, state: PhotonicState, herald: Herald | None = None) -> PhotonicState:
+def apply(transform: LinearMap, state: PhotonicState, stations: Sequence[int] = ()) -> PhotonicState:
     """Apply one map to a state by exact monomial expansion.
 
     An input monomial splits into its mapped photons ``key & in_mask`` and
     its unmapped spectators ``rest``.  The expansion of the mapped photons,
     started from unit amplitude, is a template of (partial key, coefficient)
-    pairs that depends only on the mapped photons and on which herald masks
+    pairs that depends only on the mapped photons and on which stations
     ``rest`` already meets, so each distinct pair of those is expanded once
     per call.  Each input then emits ``rest + partial`` with amplitude
     ``amp * coefficient``, in input order and template order, and a
     template is freed after its last input.
 
-    With a ``herald``, only outputs that meet every reach mask and the
-    photon-count bound of :class:`Herald` are kept, and nothing else is
-    built.  Occupations only grow during the expansion, so a monomial that
-    misses a reach mask, lifted through the map as :func:`feed_masks` does,
-    is skipped whole, and right after the last mapped mode that can feed a
-    mask is expanded, the partial monomials that miss it are dropped.  The
-    count bound is tested on outputs only: lifted heralds already enforce it
-    on the inputs.  On the final stage a partial also never takes a column
-    entry into a station that already holds a photon, so every station ends
-    with exactly one.  A dropped monomial has no kept descendant, so every
-    kept amplitude is the same sum as without ``herald``.
+    ``stations``, the packed masks of the detector stations on the last
+    stage of a circuit, keep only outputs with a photon in every station,
+    and a partial never takes an entry into a station that already holds
+    one.  A monomial that misses a station, lifted through the map as
+    :func:`feed_masks` does, is skipped whole, and partials that miss a
+    station are dropped right after its last feeding mode is expanded.
+    Occupations only grow, so a dropped monomial has no kept descendant and
+    every kept amplitude is the same sum as without ``stations``.
 
     Like terms are merged with :func:`heraldnet.fock.cancel_add`, so a
     cancellation leaves an exact zero, and partials whose amplitude is an
@@ -249,21 +227,15 @@ def apply(transform: LinearMap, state: PhotonicState, herald: Herald | None = No
     only add zeros to their descendants.
 
     Raises :class:`ModeCollisionError` if an occupied unmapped mode collides
-    with one of the map's outputs.  The term count is not capped here: the
-    drivers bound it by refusing networks past
-    :data:`heraldnet.heralding.ORACLE_MAX_PARTIES`.
+    with a map output.  The term count is not capped here: the drivers
+    refuse networks past :data:`heraldnet.heralding.ORACLE_MAX_PARTIES`.
     """
     if transform.registry is not state.registry:
         raise RegistryError("map and state use different registries")
     outputs = transform.output_indices()
     in_mask = pack(dict.fromkeys(transform.columns, MAX_OCCUPATION))
     out_mask = pack(dict.fromkeys(outputs, MAX_OCCUPATION))
-    reach, must, final = herald or ((), 0, False)
-    n, can = len(reach), reduce(or_, reach, 0)
-    stations = reach if final else ()
-    # The final stage's station rule already leaves exactly n photons in the stations.
-    counted = bool(reach) and not final
-    # station_of[out]: on the final stage, the station output mode ``out`` belongs to, or 0.
+    # station_of[out]: the station output mode ``out`` belongs to, or 0.
     station_of = {
         out: next((m for m in stations if (m >> (BITS * out)) & MAX_OCCUPATION), 0)
         for out in outputs
@@ -273,15 +245,15 @@ def apply(transform: LinearMap, state: PhotonicState, herald: Herald | None = No
         (BITS * idx, tuple((1 << (BITS * out), coeff, station_of[out]) for out, coeff in col))
         for idx, col in sorted(transform.columns.items())
     ]
-    # feeds[s]: the modes whose photons can end up in reach mask s.
-    feeds = feed_masks(transform, reach)
-    # open_bits: a template key's bit for each reach mask, above every mode's
-    # nibble, set while the mask is unmet.
-    open_bits = tuple((1 << (s + BITS * len(state.registry)), m) for s, m in enumerate(reach))
+    # feeds[s]: the modes whose photons can end up in station s.
+    feeds = feed_masks(transform, stations)
+    # open_bits: a template key's bit for each station, above every mode's
+    # nibble, set while the station is empty.
+    open_bits = tuple((1 << (s + BITS * len(state.registry)), m) for s, m in enumerate(stations))
 
     def template_key(key: int, rest: int) -> int:
-        """The mapped photons of ``key``, plus the open bit of each reach
-        mask that ``rest`` does not meet, or -1 if some mask cannot be fed."""
+        """The mapped photons of ``key``, plus the open bit of each station
+        that ``rest`` does not meet, or -1 if some station cannot be fed."""
         for f in feeds:
             if not key & f:
                 return -1
@@ -293,14 +265,14 @@ def apply(transform: LinearMap, state: PhotonicState, herald: Herald | None = No
 
     def expand(tkey: int) -> dict[int, complex]:
         mapped = tkey & in_mask
-        # closing[shift]: the open masks that no photon past that mapped mode feeds.
+        # closing[shift]: the open stations that no photon past that mapped mode feeds.
         closing: dict[int, list[int]] = {}
         for (bit, m), f in zip(open_bits, feeds):
             if tkey & bit:
                 top = (mapped & f).bit_length() - 1
                 closing.setdefault(top - top % BITS, []).append(m)
         # A station that ``rest`` already fills takes no entry at all.
-        full = {m for bit, m in open_bits if stations and not tkey & bit}
+        full = {m for bit, m in open_bits if not tkey & bit}
         poly: dict[int, complex] = {0: 1 + 0j}
         for shift, col in steps:
             count = (mapped >> shift) & MAX_OCCUPATION
@@ -351,8 +323,6 @@ def apply(transform: LinearMap, state: PhotonicState, herald: Herald | None = No
             del templates[tkey]
         for partial, coeff in template.items():
             out = rest + partial
-            if counted and not photons(out & must) <= n <= photons(out & can):
-                continue
             value = amp * coeff
             cur = new_terms.get(out)
             new_terms[out] = value if cur is None else cancel_add(cur, value)

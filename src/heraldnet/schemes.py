@@ -1,8 +1,8 @@
 """Network builders for the three heralded GHZ distribution schemes.
 
-Each builder returns the initial photonic state, the circuit stages, and a
-:class:`SchemeSpec` describing where the detectors, retained qubits and
-environment sit.  Party indices are 1-based and all "next party" wiring is
+Each builder returns one initial photonic factor per party, the circuit
+stages, and a :class:`SchemeSpec` describing where the detectors, retained
+qubits and environment sit.  Party indices are 1-based and all "next party" wiring is
 cyclic: ``nxt(i) = i % n + 1``.
 
 Scheme summary (n parties, photon budget 2n):
@@ -38,6 +38,7 @@ from .fock import (
     Mode,
     ModeRegistry,
     PhotonicState,
+    product,
     state_from_creation_product,
     superpose,
     with_photons,
@@ -120,11 +121,17 @@ class SchemeSpec:
 
 
 class SchemeBuild(NamedTuple):
-    """Initial state, circuit stages in the order they apply, and spec."""
+    """One initial factor per party on disjoint modes, circuit stages in the
+    order they apply (all but the last act on each party alone), and spec."""
 
-    state: PhotonicState
+    parties: tuple[PhotonicState, ...]
     stages: tuple[LinearMap, ...]
     spec: SchemeSpec
+
+    @property
+    def state(self) -> PhotonicState:
+        """The global initial state: the product of the parties' factors."""
+        return product(self.parties)
 
 
 def _check_scheme(scheme: str) -> None:
@@ -154,32 +161,29 @@ def _register_pairs(registry: ModeRegistry, prefix: str, n: int, role: str) -> l
 # Initial states
 # ----------------------------------------------------------------------
 
-def bell_initial_state(registry: ModeRegistry, n: int) -> PhotonicState:
-    """Product of n polarization Bell pairs (b_H c_V + b_V c_H)/sqrt(2).
-
-    Expanded eagerly into 2^n monomials with amplitude 2^(-n/2) each.
-    """
-    state = state_from_creation_product(registry, [])
+def _bell_pairs(registry: ModeRegistry, n: int) -> tuple[PhotonicState, ...]:
+    """Party i's polarization Bell pair (b_iH c_iV + b_iV c_iH)/sqrt(2), for each i."""
     r = 1.0 / math.sqrt(2.0)
-    for i in range(1, n + 1):
-        bh, bv = registry.get(f"b{i}", "H"), registry.get(f"b{i}", "V")
-        ch, cv = registry.get(f"c{i}", "H"), registry.get(f"c{i}", "V")
-        state = superpose(
-            [
-                (r, with_photons(state, {bh.index: 1, cv.index: 1})),
-                (r, with_photons(state, {bv.index: 1, ch.index: 1})),
-            ]
-        )
-    return state
+    modes = [[registry.get(f"{p}{i}", pol) for p in "bc" for pol in "HV"] for i in range(1, n + 1)]
+    return tuple(superpose([(r, state_from_creation_product(registry, [bh, cv])),
+                            (r, state_from_creation_product(registry, [bv, ch]))])
+                 for bh, bv, ch, cv in modes)
+
+
+def _photon_pairs(registry: ModeRegistry, n: int) -> tuple[PhotonicState, ...]:
+    """Party i's H and V photon on its source path, a_iH a_iV, for each i."""
+    return tuple(state_from_creation_product(registry, [registry.get(f"a{i}", p) for p in "HV"])
+                 for i in range(1, n + 1))
+
+
+def bell_initial_state(registry: ModeRegistry, n: int) -> PhotonicState:
+    """Product of n polarization Bell pairs, 2^n monomials of amplitude 2^(-n/2)."""
+    return product(_bell_pairs(registry, n))
 
 
 def single_photon_initial_state(registry: ModeRegistry, n: int) -> PhotonicState:
     """One H and one V photon per party on the source paths: prod a_iH a_iV."""
-    modes: list[Mode] = []
-    for i in range(1, n + 1):
-        modes.append(registry.get(f"a{i}", "H"))
-        modes.append(registry.get(f"a{i}", "V"))
-    return state_from_creation_product(registry, modes)
+    return product(_photon_pairs(registry, n))
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +257,7 @@ def build_bc(n: int, eta: float) -> SchemeBuild:
         ghz_pair=(_diagonal_string(b, +1.0), _diagonal_string(b, -1.0)),
         feedforward_rule=_central_feedforward(n),
     )
-    return SchemeBuild(bell_initial_state(registry, n), stages, spec)
+    return SchemeBuild(_bell_pairs(registry, n), stages, spec)
 
 
 def build_sc(n: int, eta: float) -> SchemeBuild:
@@ -285,7 +289,7 @@ def build_sc(n: int, eta: float) -> SchemeBuild:
         ghz_pair=(_diagonal_string(b, +1.0), _diagonal_string(b, -1.0)),
         feedforward_rule=_central_feedforward(n),
     )
-    return SchemeBuild(single_photon_initial_state(registry, n), stages, spec)
+    return SchemeBuild(_photon_pairs(registry, n), stages, spec)
 
 
 def build_sd(n: int, eta: float) -> SchemeBuild:
@@ -318,7 +322,7 @@ def build_sd(n: int, eta: float) -> SchemeBuild:
         ghz_pair=(_canonical_string(e, "H"), _canonical_string(e, "V")),
         feedforward_rule=_decentral_feedforward(n),
     )
-    return SchemeBuild(single_photon_initial_state(registry, n), stages, spec)
+    return SchemeBuild(_photon_pairs(registry, n), stages, spec)
 
 
 def build_scheme(scheme: str, n: int, eta: float) -> SchemeBuild:

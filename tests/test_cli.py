@@ -168,23 +168,24 @@ class TestSimulate:
 
     def test_simulation_cap(self, capsys):
         code, _, err = run(
-            capsys, ["simulate", "--scheme", "bc", "--parties", "7", "--eta", "0.9"]
+            capsys, ["simulate", "--scheme", "bc", "--parties", "8", "--eta", "0.9"]
         )
         assert code == 1
-        assert "capped at 6" in err
+        assert "capped at 7" in err
 
     @pytest.mark.parametrize(
         ("argv", "message"),
         [
             (["simulate", "--scheme", "sd", "--parties", "8", "--eta", "0.9"], "sd is capped at 7"),
-            (["simulate", "--scheme", "all", "--parties", "6..7", "--eta", "0.9"], "bc is capped at 6"),
+            (["simulate", "--scheme", "all", "--parties", "7..8", "--eta", "0.9"], "bc is capped at 7"),
             (["verify", "--scheme", "sd", "--parties", "8"], "sd is capped at 7"),
             (["simulate", "--scheme", "sd", "--parties", "6..8", "--eta", "0.9"], "sd is capped at 7"),
             (["simulate", "--scheme", "sc", "--parties", "8", "--eta", "0.9"], "sc is capped at 7"),
+            (["simulate", "--scheme", "bc", "--parties", "8", "--eta", "0.9"], "bc is capped at 7"),
         ],
     )
     def test_simulation_cap_is_per_scheme(self, capsys, monkeypatch, argv, message):
-        # refused before any state is evolved: sd at N=8 needs more photons than a key holds
+        # refused before any state is evolved: at N=8 every scheme needs more photons than a key holds
         def evolve(build):
             raise AssertionError(f"evolved {build.spec.scheme} N={build.spec.n_parties}")
 

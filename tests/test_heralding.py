@@ -10,7 +10,7 @@ import pytest
 from conftest import explicit_evolution, heralded_part, without_c1_plate
 from heraldnet import heralding
 from heraldnet.analytic import closed_p_suc, exact_h_eff, exact_p_hr
-from heraldnet.fock import PhotonicState, norm_squared, pack, photons
+from heraldnet.fock import ModeCollisionError, norm_squared, photons, product, support
 from heraldnet.heralding import (
     ORACLE_MAX_PARTIES,
     Metrics,
@@ -25,7 +25,7 @@ from heraldnet.heralding import (
     detector_rotation,
     enumerate_patterns,
 )
-from heraldnet.optics import apply
+from heraldnet.optics import LinearMap, apply, feed_masks
 from heraldnet.schemes import SCHEMES, SchemeBuild, build_bc, build_sc, build_scheme, build_sd
 
 
@@ -72,23 +72,38 @@ class TestDetectionPipeline:
             compute_metrics(build).p_hr, rel=1e-12
         )
 
+    @staticmethod
+    def _assert_heralded_part(build, ready, explicit, bitwise):
+        # same keys; amplitudes are products taken party by party rather
+        # than stage by stage, so they agree bit for bit only where that
+        # order cannot round differently
+        expected = heralded_part(build, explicit)
+        assert ready.amplitudes.keys() == expected.keys()
+        for key, amp in expected.items():
+            assert abs(ready.amplitudes[key] - amp) <= 2e-15 * abs(amp)
+        if bitwise:
+            assert ready.amplitudes == expected
+
     def test_fused_rotation_matches_explicit_rotation(self):
         # the production path folds the detector basis change into the last
         # circuit stage and heralds it; the explicit path applies every stage
         # and the rotation in full, then keeps one photon per station
-        build = build_sd(2, 0.9)
-        fused = detection_ready_state(build)
-        explicit = explicit_evolution(build)
-        assert fused.amplitudes == heralded_part(build, explicit)
+        for eta in (1.0, 0.9):
+            build = build_sd(2, eta)
+            self._assert_heralded_part(build, detection_ready_state(build),
+                                       explicit_evolution(build), bitwise=eta == 1.0)
 
     @pytest.mark.parametrize("builder", [build_bc, build_sc])
     def test_canonical_basis_needs_no_rotation(self, builder):
-        build = builder(2, 0.9)
-        fused = detection_ready_state(build)
-        state = build.state
-        for stage in build.stages:
-            state = apply(stage, state)
-        assert fused.amplitudes == heralded_part(build, state)
+        # lossless bc multiplies the same factors in either order; the
+        # splitter coefficients of sc do not
+        for eta in (1.0, 0.9):
+            build = builder(2, eta)
+            state = build.state
+            for stage in build.stages:
+                state = apply(stage, state)
+            self._assert_heralded_part(build, detection_ready_state(build), state,
+                                       bitwise=builder is build_bc and eta == 1.0)
 
     def test_rotation_is_self_inverse(self):
         build = build_sd(2, 0.9)
@@ -102,64 +117,91 @@ class TestDetectionPipeline:
             assert amp == pytest.approx(state.terms[monomial], abs=1e-12)
 
     @staticmethod
-    def _filtered_stages(monkeypatch, build):
-        """(stage, herald, output) of each call the evolution makes."""
+    def _calls(monkeypatch, build, kept_per_party=None):
+        """(stage, state, keyword arguments, output) of each call the evolution
+        makes; ``kept_per_party`` collects the product's size after each party."""
         calls = []
 
         def record(stage, state, **kwargs):
             out = apply(stage, state, **kwargs)
-            calls.append((stage, kwargs["herald"], out))
+            calls.append((stage, state, kwargs, out))
             return out
 
+        def counted_product(factors, keep):
+            def counted(j, key):
+                kept = keep(j, key)
+                kept_per_party[j] = kept_per_party.get(j, 0) + kept
+                return kept
+            return product(factors, counted)
+
         monkeypatch.setattr(heralding, "apply", record)
+        if kept_per_party is not None:
+            monkeypatch.setattr(heralding, "product", counted_product)
         detection_ready_state(build)
         return calls
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("eta", [1.0, 0.9, 0.3])
-    def test_every_stage_keeps_the_reachable_part(self, monkeypatch, scheme, n, eta):
-        # the filtered loop equals the unfiltered one restricted to the keys
-        # that meet every reach mask and hold at most n photons in the modes
-        # that must reach a station and at least n in those that can: same
-        # keys, same floats, same order
+    def test_pre_final_product_is_the_filtered_evolution(self, monkeypatch, scheme, n, eta):
+        # each party goes through the early stages on its own; the pruned
+        # product of the parties equals the unfiltered global evolution
+        # restricted to the keys that meet every station's reach, hold at
+        # most n photons in the modes that must reach a station and at least
+        # n in those that can, and at most one in the modes that reach only
+        # one station; each kept amplitude is the product of the parties'
+        # amplitudes, bit for bit
         build = build_scheme(scheme, n, eta)
-        calls = self._filtered_stages(monkeypatch, build)
-        assert len(calls) == len(build.stages)
+        *local, (final, kept, kwargs, _) = self._calls(monkeypatch, build)
+        early = build.stages[:-1]
+        assert [(stage, kw) for stage, _, kw, _ in local] == [(s, {}) for s in early] * n
+        factors = [out for _, _, _, out in local[len(early) - 1::len(early)]]
+        stations = heralding.station_masks(build.spec)
+        assert kwargs == {"stations": stations}
+        reach, singles = feed_masks(final, stations), feed_masks(final, stations, every=True)
+        (must,) = feed_masks(final, (sum(stations),), every=True)
+        can = reduce(or_, reach)
         full = build.state
-        for stage, herald, kept in calls[:-1]:
-            assert not herald.final
+        for stage in early:
             full = apply(stage, full)
-            can = reduce(or_, herald.reach)
-            reachable = {k: a for k, a in full.amplitudes.items()
-                         if all(k & m for m in herald.reach)
-                         and photons(k & herald.must) <= n <= photons(k & can)}
-            assert list(kept.amplitudes.items()) == list(reachable.items())
-        stage, herald, kept = calls[-1]
-        assert herald.final
-        last = heralded_part(build, apply(stage, full))
-        assert list(kept.amplitudes.items()) == list(last.items())
+        expected = {k: a for k, a in full.amplitudes.items()
+                    if all(k & m for m in reach) and photons(k & must) <= n <= photons(k & can)
+                    and all(photons(k & m) <= 1 for m in singles)}
+        assert kept.amplitudes.keys() == expected.keys()
+        for key, amp in expected.items():
+            assert abs(kept.amplitudes[key] - amp) <= 2e-15 * abs(amp)
+            local_amp = 1 + 0j
+            for factor in factors:
+                local_amp *= factor.amplitudes[key & support(factor)]
+            assert kept.amplitudes[key] == local_amp
 
-    def test_ring_stage_counts(self, monkeypatch):
-        # unfiltered, sd N=4 builds 1296 and 160,000 terms before its last stage
-        calls = self._filtered_stages(monkeypatch, build_sd(4, 0.9))
-        assert [len(out) for _, _, out in calls] == [32, 162, 2592]
+    def test_ring_product_counts(self, monkeypatch):
+        # sd N=4: 20 terms per party; the one-photon-per-station bound keeps
+        # 6, 18, 54 and 162 (unfiltered, 160,000 before the last stage)
+        sizes = {}
+        *_, (_, kept, _, ready) = self._calls(monkeypatch, build_sd(4, 0.9), sizes)
+        assert list(sizes.values()) == [6, 18, 54, 162]
+        assert (len(kept), len(ready)) == (162, 2592)
 
-    def test_central_stage_counts(self, monkeypatch):
-        # per-station reach alone keeps 207, 207 and 3,425 terms before the last stage
-        calls = self._filtered_stages(monkeypatch, build_sc(4, 0.9))
-        assert [len(out) for _, _, out in calls] == [159, 159, 1056, 2048]
+    def test_central_product_counts(self, monkeypatch):
+        # sc N=4: 9 terms per party (unfiltered, 6,561 before the last stage)
+        sizes = {}
+        *_, (_, kept, _, ready) = self._calls(monkeypatch, build_sc(4, 0.9), sizes)
+        assert list(sizes.values()) == [9, 65, 428, 1056]
+        assert (len(kept), len(ready)) == (1056, 2048)
 
-    def test_reach_alone_misses_a_short_count(self, monkeypatch):
-        # c1 feeds stations 1 and 2, c3 stations 3 and 4: one photon in each
-        # reaches every station, but two photons cannot fill four of them
-        build = build_sc(4, 0.9)
-        stage, herald, _ = self._filtered_stages(monkeypatch, build)[2]
+    def test_parties_coupled_before_the_last_stage_raise(self):
+        # a splitter between c1_H and c2_H ahead of the circuit puts both
+        # parties' photons in both modes, so the state is no product
+        build = build_bc(2, 0.9)
         registry = build.spec.registry
-        key = pack({registry.get("c1", "H").index: 1, registry.get("c3", "V").index: 1})
-        assert all(key & m for m in herald.reach)
-        assert len(apply(stage, PhotonicState(registry, {key: 1.0}))) == 4
-        assert len(apply(stage, PhotonicState(registry, {key: 1.0}), herald=herald)) == 0
+        c1, c2 = (registry.get(f"c{i}", "H").index for i in (1, 2))
+        r = 1 / math.sqrt(2)
+        mix = LinearMap(registry, {c1: ((c1, r), (c2, r)), c2: ((c1, r), (c2, -r))})
+        coupled = build._replace(stages=(mix,) + build.stages)
+        assert len(heralded_part(coupled, explicit_evolution(coupled))) > 0
+        with pytest.raises(ModeCollisionError, match="two factors"):
+            detection_ready_state(coupled)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_pattern_probabilities_sum_to_herald(self, scheme):
@@ -320,14 +362,14 @@ class TestBasisChange:
         build = build_sd(2, 0.9)
         reference = compute_metrics(build)
         spec = dataclasses.replace(build.spec, detection_basis="HV")
-        rotated = compute_metrics(SchemeBuild(build.state, build.stages, spec))
+        rotated = compute_metrics(SchemeBuild(build.parties, build.stages, spec))
         assert rotated.p_hr == pytest.approx(reference.p_hr, abs=1e-10)
         assert rotated.p_suc == pytest.approx(0.5 * reference.p_suc, abs=1e-10)
 
     def test_canonical_detection_kills_mixed_patterns(self):
         build = build_sd(2, 0.9)
         spec = dataclasses.replace(build.spec, detection_basis="HV")
-        outcomes = analyze_patterns(SchemeBuild(build.state, build.stages, spec))
+        outcomes = analyze_patterns(SchemeBuild(build.parties, build.stages, spec))
         by_pattern = {o.pattern: o.probability for o in outcomes}
         assert by_pattern[("H", "V")] == pytest.approx(0.0, abs=1e-12)
         assert by_pattern[("V", "H")] == pytest.approx(0.0, abs=1e-12)
@@ -392,7 +434,7 @@ class TestErrors:
         assert outcome.feedforward_phase() == 0.0
 
     def test_oracle_size_cap(self):
-        assert ORACLE_MAX_PARTIES == {"bc": 6, "sc": 7, "sd": 7}
+        assert ORACLE_MAX_PARTIES == {"bc": 7, "sc": 7, "sd": 7}
         for scheme, cap in ORACLE_MAX_PARTIES.items():
             check_oracle_size(scheme, cap)
             with pytest.raises(OracleSizeError) as exc:

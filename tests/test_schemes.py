@@ -6,7 +6,13 @@ import math
 import pytest
 
 from conftest import without_c1_plate
-from heraldnet.fock import norm_squared, inner_product, state_from_creation_product
+from heraldnet.fock import (
+    inner_product,
+    norm_squared,
+    state_from_creation_product,
+    superpose,
+    with_photons,
+)
 from heraldnet.optics import apply, is_isometry
 from heraldnet.schemes import (
     DEFAULT_ALPHA,
@@ -131,6 +137,30 @@ class TestInitialStates:
         assert amplitude == pytest.approx(1.0)
         assert total_photons(monomial) == 2 * n
         assert all(k == 1 for _, k in monomial)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_party_product_is_the_global_initial_state(self, scheme, n):
+        # the global state built eagerly, one Bell pair or photon pair per
+        # party, new party outermost, as the builders did before they kept
+        # one factor per party: same keys, same order, same bits
+        build = build_scheme(scheme, n, 0.9)
+        registry = build.spec.registry
+        if scheme == "bc":
+            reference = state_from_creation_product(registry, [])
+            r = 1.0 / math.sqrt(2.0)
+            for i in range(1, n + 1):
+                bh, bv, ch, cv = (registry.get(f"{p}{i}", pol) for p in "bc" for pol in "HV")
+                reference = superpose([
+                    (r, with_photons(reference, {bh.index: 1, cv.index: 1})),
+                    (r, with_photons(reference, {bv.index: 1, ch.index: 1})),
+                ])
+        else:
+            modes = [registry.get(f"a{i}", p) for i in range(1, n + 1) for p in "HV"]
+            reference = state_from_creation_product(registry, modes)
+        assert len(build.parties) == n
+        bits = [(k, a.real.hex(), a.imag.hex()) for k, a in build.state.amplitudes.items()]
+        assert bits == [(k, a.real.hex(), a.imag.hex()) for k, a in reference.amplitudes.items()]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_bc_source_is_bell_product(self, n):
