@@ -143,18 +143,23 @@ class TestDetectionPipeline:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("eta", [1.0, 0.9, 0.3])
-    def test_pre_final_product_is_the_filtered_evolution(self, monkeypatch, scheme, n, eta):
-        # each party goes through the early stages on its own; the pruned
-        # product of the parties equals the unfiltered global evolution
-        # restricted to the keys that meet every station's reach, hold at
-        # most n photons in the modes that must reach a station and at least
-        # n in those that can, and at most one in the modes that reach only
-        # one station; each kept amplitude is the product of the parties'
-        # amplitudes, bit for bit
+    def test_every_stage_keeps_the_reachable_part(self, monkeypatch, scheme, n, eta):
+        # each party goes through the early stages on its own, unfiltered;
+        # the pruned product of the parties equals the unfiltered global
+        # evolution restricted to the keys that meet every station's reach,
+        # hold at most n photons in the modes that must reach a station and
+        # at least n in those that can, and at most one in the modes that
+        # reach only one station; each kept amplitude is the product of the
+        # parties' amplitudes, bit for bit; the heralded last stage keeps
+        # exactly the heralded part of the unfiltered evolution
         build = build_scheme(scheme, n, eta)
-        *local, (final, kept, kwargs, _) = self._calls(monkeypatch, build)
+        *local, (final, kept, kwargs, ready) = self._calls(monkeypatch, build)
         early = build.stages[:-1]
         assert [(stage, kw) for stage, _, kw, _ in local] == [(s, {}) for s in early] * n
+        for j, party in enumerate(build.parties):
+            steps = local[j * len(early):(j + 1) * len(early)]
+            inputs = [party] + [out for _, _, _, out in steps[:-1]]
+            assert [state for _, state, _, _ in steps] == inputs
         factors = [out for _, _, _, out in local[len(early) - 1::len(early)]]
         stations = heralding.station_masks(build.spec)
         assert kwargs == {"stations": stations}
@@ -174,6 +179,7 @@ class TestDetectionPipeline:
             for factor in factors:
                 local_amp *= factor.amplitudes[key & support(factor)]
             assert kept.amplitudes[key] == local_amp
+        self._assert_heralded_part(build, ready, explicit_evolution(build), bitwise=False)
 
     def test_ring_product_counts(self, monkeypatch):
         # sd N=4: 20 terms per party; the one-photon-per-station bound keeps
