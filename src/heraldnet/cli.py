@@ -32,7 +32,8 @@ from .experiments import (
     write_verification_json,
 )
 from .heralding import check_oracle_size, compute_metrics
-from .schemes import DEFAULT_ALPHA, SCHEMES, NetworkGeometry, build_scheme, eta_for_geometry
+from .schemes import (DEFAULT_ALPHA, SCHEMES, NetworkGeometry, build_scheme, check_attenuation,
+                      eta_for_geometry)
 
 DEFAULT_SWEEP_PARTIES = (4, 7, 13, 20)
 DEFAULT_RADIUS_GRID = "0:50:0.5"
@@ -210,6 +211,8 @@ def _emit(args: argparse.Namespace, render) -> None:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if (args.eta is None) == (args.radius is None):
         raise CliError("exactly one of --eta or --radius is required")
+    if args.eta is not None:
+        check_attenuation(args.alpha)
     parties = parse_parties(args.parties)
     schemes = resolve_schemes(args.scheme)
     for scheme in schemes:

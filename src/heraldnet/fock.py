@@ -190,28 +190,35 @@ def support(state: PhotonicState) -> int:
     return ((keys | keys >> 1 | keys >> 2 | keys >> 3) & _ones(keys.bit_length())) * MAX_OCCUPATION
 
 
-def product(
-    factors: Sequence[PhotonicState], keep: Callable[[int, int], bool] = lambda j, key: True
-) -> PhotonicState:
+def product(factors: Sequence[PhotonicState], tags: Sequence[Mapping[int, int]] | None = None,
+            keep: Callable[[int, int], bool] = lambda j, tag: True) -> PhotonicState:
     """The product of states on disjoint modes, taken one factor at a time.
 
-    A partial product ``key`` after factor ``j`` (the new factor's terms
-    outermost) is kept only where ``keep(j, key)``.  Every key is a distinct
-    sum, so each amplitude is a product of one amplitude per factor and
-    nothing is merged.  Raises :class:`ModeCollisionError` if two factors
-    occupy one mode, and ``ValueError`` past ``MAX_OCCUPATION`` photons."""
-    registry, amplitudes, seen, most = factors[0].registry, {0: 1 + 0j}, 0, 0
-    for j, factor in enumerate(factors):
+    ``tags[j]`` tags each term of factor ``j`` that may take part with a
+    small int (default: every term, 0).  A partial's tag is the sum of its
+    terms' tags, and a partial after factor ``j`` (new terms outermost) is
+    kept only where ``keep(j, tag)``; the full products carry no tag.  Each
+    amplitude is a product of one amplitude per factor.  Raises
+    :class:`ModeCollisionError` if two factors occupy one mode, and
+    ``ValueError`` past ``MAX_OCCUPATION`` photons, before multiplying."""
+    registry, seen, most = factors[0].registry, 0, 0
+    for factor in factors:
         if factor.registry is not registry:
             raise RegistryError("cannot multiply states from different registries")
         if support(factor) & seen:
             raise ModeCollisionError("two factors of a product occupy one mode")
         seen, most = seen | support(factor), most + max(map(photons, factor.amplitudes), default=0)
-        if most > MAX_OCCUPATION:
-            raise ValueError(f"a monomial holds at most {MAX_OCCUPATION} photons")
-        amplitudes = {key: a * b for new, b in factor.amplitudes.items()
-                      for old, a in amplitudes.items() if keep(j, key := old + new)}
-    return PhotonicState(registry, amplitudes)
+    if most > MAX_OCCUPATION:
+        raise ValueError(f"a monomial holds at most {MAX_OCCUPATION} photons")
+    tags = tags or [dict.fromkeys(factor.amplitudes, 0) for factor in factors]
+    partials, last = {0: (1 + 0j, 0)}, len(factors) - 1
+    for j, (factor, tag) in enumerate(zip(factors, tags)):
+        terms = [(new, b, tag[new]) for new, b in factor.amplitudes.items() if new in tag]
+        if j == last:
+            return PhotonicState(registry, {old + new: a * b for new, b, t in terms
+                                            for old, (a, p) in partials.items() if keep(j, p + t)})
+        partials = {old + new: (a * b, s) for new, b, t in terms
+                    for old, (a, p) in partials.items() if keep(j, s := p + t)}
 
 
 def state_from_creation_product(
@@ -258,11 +265,17 @@ def inner_product(left: PhotonicState, right: PhotonicState) -> complex:
     """Hermitian form <left|right>, conjugate-linear in ``left``."""
     if left.registry is not right.registry:
         raise RegistryError("inner product across different registries")
+    return overlap(left.amplitudes, right.amplitudes, _monomial_weight)
+
+
+def overlap(left: Mapping[int, complex], right: Mapping[int, complex],
+            weight: Callable[[int], float]) -> complex:
+    """sum conj(left[k]) * right[k] * weight(k), over the smaller map (``left`` on a tie)."""
     if len(right) < len(left):
-        return inner_product(right, left).conjugate()
+        return overlap(right, left, weight).conjugate()
     acc = 0j
-    for key, a in left.amplitudes.items():
-        b = right.amplitudes.get(key)
+    for key, a in left.items():
+        b = right.get(key)
         if b is not None:
-            acc += a.conjugate() * b * _monomial_weight(key)
+            acc += a.conjugate() * b * weight(key)
     return acc

@@ -15,20 +15,21 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from operator import or_
 
 from .fock import (
+    BITS,
     MAX_OCCUPATION,
     PhotonicState,
     _monomial_weight,
-    inner_product,
+    inner_product,  # noqa: F401 - benchmarks/run.py --trace 1 times heralding.inner_product
     norm_squared,  # noqa: F401 - benchmarks/run.py --trace 1 times heralding.norm_squared
+    overlap,
     pack,
     photons,
     product,
     support,
-    with_photons,
 )
 from .optics import LinearMap, apply, compose_maps, feed_masks
 from .schemes import SchemeBuild, SchemeSpec
@@ -36,9 +37,9 @@ from .schemes import SchemeBuild, SchemeSpec
 # Exhaustive amplitude tracking is exponential in the party count; past these
 # sizes a single case needs minutes and gigabytes, so the drivers refuse it.
 # This cap is the only bound on the term count (1,048,576 at most, sc N=7).
-# Measured on 2 cores, Python 3.11, one fresh process per case: bc N=7
-# 0.08 s and 17 MB, sc N=6 0.4 s and 49 MB, sc N=7 3.3 to 3.7 s and 290 MB
-# (eta 0.9 and 0.5), sd N=6 0.13 s and 40 MB, sd N=7 0.9 to 1.0 s and 136 MB;
+# Measured on 2 cores, Python 3.11, one fresh process per case, eta 0.9 and 0.5:
+# bc N=7 0.04 to 0.08 s and 17 MB, sc N=6 0.23 to 0.43 s and 50 MB, sc N=7 1.8
+# to 2.3 s and 291 MB, sd N=6 0.10 to 0.12 s and 41 MB, sd N=7 0.6 to 0.7 s and 136 MB;
 # at N=8 every scheme has 16 photons, more than a packed key holds (MAX_OCCUPATION).
 ORACLE_MAX_PARTIES = {"bc": 7, "sc": 7, "sd": 7}
 
@@ -102,20 +103,20 @@ def detection_ready_state(build: SchemeBuild) -> PhotonicState:
     detection.
 
     Every stage but the last acts on each party alone, so each party's
-    factor goes through them on its own, unheralded.  The factors are
-    multiplied one party at a time (:func:`heraldnet.fock.product`), and a
-    partial product is dropped once the station masks, lifted through the
-    last stage by :func:`heraldnet.optics.feed_masks`, show it cannot
-    herald: a station's reach (modes with any column entry into it) is unmet
-    after the last party that meets it; more than N photons sit in the
-    modes whose every entry lies in a station, or fewer than N, plus the
-    most later parties can add, in those with some entry in one; or two sit
-    in the modes whose every entry lies in one station.  The tests are
-    structural, and kept amplitudes are products of party amplitudes.  The
-    last stage (with the basis rotation composed in for DA detection) is
-    applied under the station herald, so the result is the heralded part of
-    the full evolution, of squared norm P_hr.  Raises ModeCollisionError if
-    a stage before the last couples parties.
+    factor goes through them on its own, unheralded.  Each party term is
+    tagged once with its photon count in each station mask lifted through
+    the last stage (:func:`heraldnet.optics.feed_masks`); the parties' modes
+    are disjoint, so a partial product's counts are the sums of its terms'
+    (:func:`heraldnet.fock.product`).  A partial is dropped once they show
+    it cannot herald: a station's reach (modes with any column entry into
+    it) is unmet after the last party that meets it; more than N photons
+    sit in the modes whose every entry lies in a station, or fewer than N,
+    plus the most later parties can add, in those with some entry in one;
+    or two sit in the modes whose every entry lies in one station.  The
+    last stage (DA rotation composed in) runs under the station herald, so
+    the result is the heralded part of the full evolution, of squared norm
+    P_hr.  Raises ModeCollisionError if a stage before the last couples
+    parties.
     """
     *early, final = build.stages
     if build.spec.detection_basis == "DA":
@@ -123,28 +124,30 @@ def detection_ready_state(build: SchemeBuild) -> PhotonicState:
     factors = [reduce(lambda state, stage: apply(stage, state), early, f) for f in build.parties]
     stations = station_masks(build.spec)
     reach, singles = feed_masks(final, stations), feed_masks(final, stations, every=True)
-    n, can, (must,) = len(stations), reduce(or_, reach), feed_masks(final, (sum(stations),), True)
-    supports = [support(f) for f in factors]
-    count = cache(photons)  # partial products share their parts in each mask
+    (must,) = feed_masks(final, (sum(stations),), every=True)
+    n, masks = len(stations), (must, reduce(or_, reach), *reach, *singles)
+    # A tag packs a term's photon count in each mask into a nibble, so tags add;
+    # ``doubled`` holds the bits of two or more photons in a singles nibble.
+    doubled = sum((MAX_OCCUPATION - 1) << BITS * i for i in range(2 + n, len(masks)))
+    tags = [{k: t for k in f.amplitudes if not (t := sum(
+        photons(k & m) << BITS * i for i, m in enumerate(masks))) & doubled} for f in factors]
     # most[j]: the most photons party j can put in ``can``, at most one per station.
-    most = [max((count(k & can) for k in f.amplitudes
-                 if all(count(k & m) <= 1 for m in singles)), default=0) for f in factors]
-    last = [max((j for j, s in enumerate(supports) if s & m), default=0) for m in reach]
-    # After party j: the reach masks it closes, what later parties can add, the singles it touches.
-    tests = [([m for m, k in zip(reach, last) if k == j], sum(most[j + 1:]),
-              [m for m in singles if m & supports[j]]) for j in range(len(factors))]
+    most = [max((t >> BITS & MAX_OCCUPATION for t in tag.values()), default=0) for tag in tags]
+    last = [max((j for j, f in enumerate(factors) if support(f) & m), default=0) for m in reach]
+    # After party j: the reach nibbles it closes and what later parties can add.
+    tests = [([MAX_OCCUPATION << BITS * (2 + i) for i, k in enumerate(last) if k == j],
+              sum(most[j + 1:])) for j in range(len(factors))]
 
-    def keep(j: int, key: int) -> bool:
-        closing, spare, touched = tests[j]
+    def keep(j: int, tag: int) -> bool:
+        closing, spare = tests[j]
+        if tag & doubled:
+            return False
         for m in closing:
-            if not key & m:
+            if not tag & m:
                 return False
-        for m in touched:
-            if count(key & m) > 1:
-                return False
-        return count(key & must) <= n <= count(key & can) + spare
+        return tag & MAX_OCCUPATION <= n <= (tag >> BITS & MAX_OCCUPATION) + spare
 
-    return apply(final, product(factors, keep), stations=stations)
+    return apply(final, product(factors, tags, keep), stations=stations)
 
 
 @dataclass(frozen=True)
@@ -220,34 +223,38 @@ class Metrics:
 
 
 def analyze_patterns(build: SchemeBuild) -> list[PatternOutcome]:
-    """One pass over the evolved state, bucketed by detector signature."""
+    """One pass over the evolved state, bucketed by detector signature.  A
+    heralded key's weight and environment count are its part's off the
+    detectors, found once per part; GHZ overlaps are lookups in the bucket,
+    summed in :func:`heraldnet.fock.inner_product`'s order."""
     spec = build.spec
     ready = detection_ready_state(build)
     env_mask = pack(dict.fromkeys((m.index for m in spec.environment_modes), MAX_OCCUPATION))
 
-    # A key's bits in the detector modes are its click signature.
-    detector_mask = sum(station_masks(spec))
+    # A key's bits in the detector modes are its click signature, the rest its part.
+    off_detectors = ~sum(station_masks(spec))
     buckets: dict[int, dict[int, complex]] = {}
+    parts: dict[int, tuple[float, int]] = {}  # (weight, environment photons) per part
     for key, amp in ready.amplitudes.items():
-        buckets.setdefault(key & detector_mask, {})[key] = amp
+        part = key & off_detectors
+        if part not in parts:
+            parts[part] = (_monomial_weight(part), photons(part & env_mask))
+        buckets.setdefault(key ^ part, {})[key] = amp
 
     letters = BASIS_LETTERS[spec.detection_basis]
     outcomes = []
     for pattern in enumerate_patterns(spec.n_parties, spec.detection_basis):
-        clicks = {station[letters.index(c)].index: 1
-                  for station, c in zip(spec.detector_stations, pattern)}
-        bucket = buckets.get(pack(clicks), {})
-        conditional = PhotonicState(spec.registry, bucket)
-        bras = tuple(with_photons(s, clicks) for s in spec.ghz_pair)
-        amplitudes = tuple(inner_product(bra, conditional) for bra in bras)
-
-        # Each key's weight once, in bucket order: the same products and the
-        # same sum as norm_squared(conditional).
-        weights = [abs(amp) ** 2 * _monomial_weight(key) for key, amp in bucket.items()]
+        clicks = pack({station[letters.index(c)].index: 1
+                       for station, c in zip(spec.detector_stations, pattern)})
+        bucket = buckets.get(clicks, {})
+        amplitudes = tuple(overlap({k + clicks: a for k, a in s.amplitudes.items()}, bucket,
+                                   lambda key: parts[key & off_detectors][0]) for s in spec.ghz_pair)
+        weights = []
         histogram: dict[int, float] = {}
-        for key, weight in zip(bucket, weights):
-            env_total = photons(key & env_mask)
-            histogram[env_total] = histogram.get(env_total, 0.0) + weight
+        for key, amp in bucket.items():
+            w, env_total = parts[key & off_detectors]
+            weights.append(abs(amp) ** 2 * w)
+            histogram[env_total] = histogram.get(env_total, 0.0) + weights[-1]
 
         outcomes.append(
             PatternOutcome(

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -295,8 +297,9 @@ def apply(transform: LinearMap, state: PhotonicState, stations: Sequence[int] = 
                 poly = {p: a for p, a in poly.items() if a and all(p & m for m in closed)}
         return poly
 
-    # users[t]: the inputs still to emit template t, so it is freed after the last.
-    users: dict[int, int] = {}
+    # order[i]: input i's template, numbered by first use; users[t]: the inputs
+    # still to emit template t, so it is freed after the last.
+    numbers, order = {}, array("I")
     for key in state.amplitudes:
         rest = key & ~in_mask
         clash = rest & out_mask
@@ -306,21 +309,21 @@ def apply(transform: LinearMap, state: PhotonicState, stations: Sequence[int] = 
                 f"occupied mode {mode.spatial_label}/{mode.polarization} is unmapped "
                 "but appears among the map outputs"
             )
-        tkey = template_key(key, rest)
-        users[tkey] = users.get(tkey, 0) + 1
+        order.append(numbers.setdefault(template_key(key, rest), len(numbers)))
+    tkeys, users = list(numbers), Counter(order)
     templates: dict[int, dict[int, complex]] = {}
     new_terms: dict[int, complex] = {}
-    for key, amp in state.amplitudes.items():
-        rest = key & ~in_mask
-        tkey = template_key(key, rest)
+    for (key, amp), t in zip(state.amplitudes.items(), order):
+        tkey = tkeys[t]
         if tkey < 0:
             continue
-        template = templates.get(tkey)
+        template = templates.get(t)
         if template is None:
-            template = templates[tkey] = expand(tkey)
-        users[tkey] -= 1
-        if not users[tkey]:
-            del templates[tkey]
+            template = templates[t] = expand(tkey)
+        users[t] -= 1
+        if not users[t]:
+            del templates[t]
+        rest = key & ~in_mask
         for partial, coeff in template.items():
             out = rest + partial
             value = amp * coeff

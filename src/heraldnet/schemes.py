@@ -62,6 +62,11 @@ class GeometryError(ValueError):
     """Raised for inconsistent geometry parameters."""
 
 
+def check_attenuation(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise GeometryError(f"attenuation must be finite and non-negative, got {alpha}")
+
+
 @dataclass(frozen=True)
 class NetworkGeometry:
     """Parties on a circle of radius ``radius_km`` around the central node."""
@@ -75,8 +80,7 @@ class NetworkGeometry:
             raise GeometryError("a network needs at least two parties")
         if not (math.isfinite(self.radius_km) and self.radius_km >= 0):
             raise GeometryError(f"radius must be finite and non-negative, got {self.radius_km}")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise GeometryError(f"attenuation must be finite and non-negative, got {self.alpha}")
+        check_attenuation(self.alpha)
 
     def link_length_km(self, scheme: str) -> float:
         """Fibre length per link: the radius for central schemes, the
@@ -179,11 +183,6 @@ def _photon_pairs(registry: ModeRegistry, n: int) -> tuple[PhotonicState, ...]:
 def bell_initial_state(registry: ModeRegistry, n: int) -> PhotonicState:
     """Product of n polarization Bell pairs, 2^n monomials of amplitude 2^(-n/2)."""
     return product(_bell_pairs(registry, n))
-
-
-def single_photon_initial_state(registry: ModeRegistry, n: int) -> PhotonicState:
-    """One H and one V photon per party on the source paths: prod a_iH a_iV."""
-    return product(_photon_pairs(registry, n))
 
 
 # ----------------------------------------------------------------------

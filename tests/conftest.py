@@ -14,8 +14,27 @@ from __future__ import annotations
 
 import pytest
 
-from heraldnet.fock import BITS, MAX_OCCUPATION
-from heraldnet.heralding import Metrics, compute_metrics, detector_rotation
+from heraldnet.fock import (
+    BITS,
+    MAX_OCCUPATION,
+    PhotonicState,
+    _monomial_weight,
+    inner_product,
+    norm_squared,
+    pack,
+    photons,
+    with_photons,
+)
+from heraldnet.heralding import (
+    BASIS_LETTERS,
+    Metrics,
+    PatternOutcome,
+    compute_metrics,
+    detection_ready_state,
+    detector_rotation,
+    enumerate_patterns,
+    station_masks,
+)
 from heraldnet.optics import apply
 from heraldnet.schemes import build_scheme
 
@@ -56,6 +75,34 @@ def heralded_part(build, state):
         for key, amp in state.amplitudes.items()
         if all(((key >> h) & MAX_OCCUPATION) + ((key >> v) & MAX_OCCUPATION) == 1 for h, v in shifts)
     }
+
+
+def reference_outcomes(build):
+    """Every click pattern's outcome from the ready state, the straightforward
+    way: each pattern's keys as a ``PhotonicState``, overlaps with the GHZ
+    strings plus the clicks by ``inner_product``, the probability by
+    ``norm_squared`` and the histogram in key order."""
+    spec = build.spec
+    detector_mask = sum(station_masks(spec))
+    env_mask = pack(dict.fromkeys((m.index for m in spec.environment_modes), MAX_OCCUPATION))
+    buckets = {}
+    for key, amp in detection_ready_state(build).amplitudes.items():
+        buckets.setdefault(key & detector_mask, {})[key] = amp
+    letters = BASIS_LETTERS[spec.detection_basis]
+    outcomes = []
+    for pattern in enumerate_patterns(spec.n_parties, spec.detection_basis):
+        clicks = {station[letters.index(c)].index: 1
+                  for station, c in zip(spec.detector_stations, pattern)}
+        conditional = PhotonicState(spec.registry, buckets.get(pack(clicks), {}))
+        amplitudes = tuple(inner_product(with_photons(s, clicks), conditional)
+                           for s in spec.ghz_pair)
+        histogram = {}
+        for key, amp in conditional.amplitudes.items():
+            env = photons(key & env_mask)
+            histogram[env] = histogram.get(env, 0.0) + abs(amp) ** 2 * _monomial_weight(key)
+        outcomes.append(PatternOutcome(pattern, norm_squared(conditional), amplitudes,
+                                       tuple(sorted(histogram.items()))))
+    return outcomes
 
 
 @pytest.fixture(scope="session")

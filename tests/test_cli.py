@@ -381,6 +381,12 @@ class TestNonFiniteInput:
              "attenuation must be finite and non-negative, got nan"),
             (["--radius", "10", "--alpha", "inf"],
              "attenuation must be finite and non-negative, got inf"),
+            (["--eta", "0.5", "--alpha", "nan"],
+             "attenuation must be finite and non-negative, got nan"),
+            (["--eta", "0.5", "--alpha", "inf"],
+             "attenuation must be finite and non-negative, got inf"),
+            (["--eta", "0.5", "--alpha", "-1"],
+             "attenuation must be finite and non-negative, got -1.0"),
         ],
     )
     def test_non_finite_geometry_names_its_field(self, capsys, flags, message):

@@ -15,6 +15,7 @@ from heraldnet.fock import (
     inner_product,
     norm_squared,
     occupations,
+    overlap,
     pack,
     photons,
     state_from_creation_product,
@@ -114,6 +115,26 @@ def test_inner_product_of_orthogonal_monomials_vanishes(registry):
     s = state_from_creation_product(registry, [registry.get("b1", "H")])
     t = state_from_creation_product(registry, [registry.get("b1", "V")])
     assert inner_product(s, t) == 0
+
+
+def test_overlap_runs_over_the_smaller_map():
+    # the shared keys are visited in the smaller map's order (the left one's
+    # on a tie), and a right-side walk is conjugated back
+    left, right = {1: 1 + 0j, 2: 2j, 3: 1 + 0j}, {3: 1j, 1: 2 + 0j}
+    seen = []
+
+    def weight(key):
+        seen.append(key)
+        return float(key)
+
+    assert overlap(left, right, weight) == 2 + 3j
+    assert seen == [3, 1]
+    seen.clear()
+    assert overlap(right, left, weight) == 2 - 3j
+    assert seen == [3, 1]
+    seen.clear()
+    assert overlap({1: 1j, 3: 1 + 0j}, right, weight) == 1j
+    assert seen == [1, 3]
 
 
 def test_pack_and_occupations_round_trip():

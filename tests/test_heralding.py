@@ -7,8 +7,8 @@ from operator import or_
 
 import pytest
 
-from conftest import explicit_evolution, heralded_part, without_c1_plate
-from heraldnet import heralding
+from conftest import explicit_evolution, heralded_part, reference_outcomes, without_c1_plate
+from heraldnet import heralding, schemes
 from heraldnet.analytic import closed_p_suc, exact_h_eff, exact_p_hr
 from heraldnet.fock import ModeCollisionError, norm_squared, photons, product, support
 from heraldnet.heralding import (
@@ -127,12 +127,12 @@ class TestDetectionPipeline:
             calls.append((stage, state, kwargs, out))
             return out
 
-        def counted_product(factors, keep):
-            def counted(j, key):
-                kept = keep(j, key)
+        def counted_product(factors, tags, keep):
+            def counted(j, tag):
+                kept = keep(j, tag)
                 kept_per_party[j] = kept_per_party.get(j, 0) + kept
                 return kept
-            return product(factors, counted)
+            return product(factors, tags, counted)
 
         monkeypatch.setattr(heralding, "apply", record)
         if kept_per_party is not None:
@@ -271,6 +271,29 @@ class TestMetricValues:
 
 
 class TestPatternOutcomes:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("eta", [1.0, 0.9, 0.3, 0.0])
+    def test_outcomes_equal_the_straightforward_analysis(self, scheme, n, eta):
+        # equal, not close: the same products summed in the same order (repr
+        # also tells a negative zero from a zero)
+        build = build_scheme(scheme, n, eta)
+        outcomes, expected = analyze_patterns(build), reference_outcomes(build)
+        assert outcomes == expected
+        assert repr(outcomes) == repr(expected)
+
+    def test_small_buckets_take_the_smaller_side(self):
+        # bc N=3: each pattern's 4 keys against GHZ strings of 8 terms, so the
+        # overlaps run over the bucket and are conjugated back
+        build = build_bc(3, 0.9)
+        stations = sum(heralding.station_masks(build.spec))
+        sizes = {}
+        for key in detection_ready_state(build).amplitudes:
+            sizes[key & stations] = sizes.get(key & stations, 0) + 1
+        assert set(sizes.values()) == {4}
+        assert [len(s) for s in build.spec.ghz_pair] == [8, 8]
+        assert repr(analyze_patterns(build)) == repr(reference_outcomes(build))
+
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("n", [2, 3])
     def test_lossless_patterns_are_pure_ghz(self, scheme, n):
@@ -447,3 +470,24 @@ class TestErrors:
                 check_oracle_size(scheme, cap + 1)
             assert "closed-form" in str(exc.value)
             assert f"{scheme} is capped at {cap}" in str(exc.value)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_photon_guard_fires_before_any_multiplication(self, monkeypatch, scheme):
+        # N=8 holds 16 photons; the guard reads every factor before the first
+        # product is taken, so no partial product is tested or formed
+        build = build_scheme(scheme, 8, 0.9)
+        tested = []
+
+        def counted_product(factors, tags=None, keep=lambda j, tag: True):
+            def counted(j, tag):
+                tested.append(j)
+                return keep(j, tag)
+            return product(factors, tags, counted)
+
+        monkeypatch.setattr(heralding, "product", counted_product)
+        monkeypatch.setattr(schemes, "product", counted_product)
+        with pytest.raises(ValueError, match="at most 15 photons"):
+            build.state
+        with pytest.raises(ValueError, match="at most 15 photons"):
+            detection_ready_state(build)
+        assert tested == []
