@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from typing import Sequence, TextIO
 
@@ -188,6 +189,7 @@ def _dump_config(args: argparse.Namespace, stream: TextIO) -> None:
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("config", "dump_config")}
     json.dump(config, stream, indent=2)
     stream.write("\n")
+    stream.flush()
 
 
 def _open_out(args: argparse.Namespace):
@@ -206,6 +208,8 @@ def _emit(args: argparse.Namespace, render) -> None:
     finally:
         if stream:
             stream.close()
+    # Flushed here, a closed stdout raises inside main() rather than at exit.
+    sys.stdout.flush()
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -350,6 +354,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     # OracleSizeError is a ValueError; UndefinedMetricError and RootBracketError are arithmetic
     except (CliError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout (``heraldnet ... | head``): stop quietly, and
+        # send what is still buffered to devnull so the exit flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, reduce
-from operator import or_
+from functools import cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 CANCEL_TOL = 1e-12
@@ -48,7 +47,7 @@ class RegistryError(ValueError):
 
 
 class ModeCollisionError(ValueError):
-    """Raised when an unmapped mode collides with a map output or two product factors share one."""
+    """Raised when an occupied unmapped mode collides with a map output."""
 
 
 @dataclass(frozen=True)
@@ -184,41 +183,45 @@ def photons(key: int) -> int:
             + 4 * (key >> 2 & ones).bit_count() + 8 * (key >> 3 & ones).bit_count())
 
 
-def support(state: PhotonicState) -> int:
-    """The packed mask of every mode that some monomial of ``state`` occupies."""
-    keys = reduce(or_, state.amplitudes, 0)
-    return ((keys | keys >> 1 | keys >> 2 | keys >> 3) & _ones(keys.bit_length())) * MAX_OCCUPATION
-
-
 def product(factors: Sequence[PhotonicState], tags: Sequence[Mapping[int, int]] | None = None,
             keep: Callable[[int, int], bool] = lambda j, tag: True) -> PhotonicState:
-    """The product of states on disjoint modes, taken one factor at a time.
+    """The product of states, taken one factor at a time; factors may share modes.
 
     ``tags[j]`` tags each term of factor ``j`` that may take part with a
     small int (default: every term, 0).  A partial's tag is the sum of its
-    terms' tags, and a partial after factor ``j`` (new terms outermost) is
-    kept only where ``keep(j, tag)``; the full products carry no tag.  Each
-    amplitude is a product of one amplitude per factor.  Raises
-    :class:`ModeCollisionError` if two factors occupy one mode, and
-    ``ValueError`` past ``MAX_OCCUPATION`` photons, before multiplying."""
-    registry, seen, most = factors[0].registry, 0, 0
+    terms' tags; partials are grouped by tag, and ``keep(j, t)`` is asked
+    once per pair of a partial tag and a term tag.  Like terms merge
+    through :func:`cancel_add`, and exact zeros are dropped after each
+    factor.  Raises ``ValueError`` past ``MAX_OCCUPATION`` photons before
+    multiplying."""
+    registry, most = factors[0].registry, 0
     for factor in factors:
         if factor.registry is not registry:
             raise RegistryError("cannot multiply states from different registries")
-        if support(factor) & seen:
-            raise ModeCollisionError("two factors of a product occupy one mode")
-        seen, most = seen | support(factor), most + max(map(photons, factor.amplitudes), default=0)
+        most += max(map(photons, factor.amplitudes), default=0)
     if most > MAX_OCCUPATION:
         raise ValueError(f"a monomial holds at most {MAX_OCCUPATION} photons")
     tags = tags or [dict.fromkeys(factor.amplitudes, 0) for factor in factors]
-    partials, last = {0: (1 + 0j, 0)}, len(factors) - 1
+    partials, last = {0: {0: 1 + 0j}}, len(factors) - 1  # partials: tag -> key -> amplitude
     for j, (factor, tag) in enumerate(zip(factors, tags)):
-        terms = [(new, b, tag[new]) for new, b in factor.amplitudes.items() if new in tag]
+        groups: dict[int, list[tuple[int, complex]]] = {}
+        for new, t in tag.items():
+            groups.setdefault(t, []).append((new, factor.amplitudes[new]))
+        # The largest groups go first and each is freed once used, which keeps
+        # the peak low; the full products carry no tag, so they share one map.
+        grown: dict[int, dict[int, complex]] = {}
+        for p in sorted(partials, key=lambda t: -len(partials[t])):
+            olds = partials.pop(p)
+            for t, terms in groups.items():
+                if keep(j, p + t):
+                    out = grown.setdefault(p + t if j < last else 0, {})
+                    for new, b in terms:
+                        for old, a in olds.items():
+                            cur = out.get(key := old + new)
+                            out[key] = a * b if cur is None else cancel_add(cur, a * b)
         if j == last:
-            return PhotonicState(registry, {old + new: a * b for new, b, t in terms
-                                            for old, (a, p) in partials.items() if keep(j, p + t)})
-        partials = {old + new: (a * b, s) for new, b, t in terms
-                    for old, (a, p) in partials.items() if keep(j, s := p + t)}
+            return PhotonicState(registry, grown.get(0, {}))
+        partials = {t: {k: a for k, a in out.items() if a} for t, out in grown.items()}
 
 
 def state_from_creation_product(

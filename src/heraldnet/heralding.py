@@ -29,17 +29,16 @@ from .fock import (
     pack,
     photons,
     product,
-    support,
 )
-from .optics import LinearMap, apply, compose_maps, feed_masks
+from .optics import LinearMap, apply, compose_maps
 from .schemes import SchemeBuild, SchemeSpec
 
 # Exhaustive amplitude tracking is exponential in the party count; past these
 # sizes a single case needs minutes and gigabytes, so the drivers refuse it.
 # This cap is the only bound on the term count (1,048,576 at most, sc N=7).
 # Measured on 2 cores, Python 3.11, one fresh process per case, eta 0.9 and 0.5:
-# bc N=7 0.04 to 0.08 s and 17 MB, sc N=6 0.23 to 0.43 s and 50 MB, sc N=7 1.8
-# to 2.3 s and 291 MB, sd N=6 0.10 to 0.12 s and 41 MB, sd N=7 0.6 to 0.7 s and 136 MB;
+# bc N=7 0.08 to 0.11 s and 18 MB, sc N=6 0.8 to 0.9 s and 66 MB, sc N=7 7.8
+# to 8.2 s and 467 MB, sd N=6 0.26 to 0.35 s and 41 MB, sd N=7 2.1 to 2.4 s and 151 MB;
 # at N=8 every scheme has 16 photons, more than a packed key holds (MAX_OCCUPATION).
 ORACLE_MAX_PARTIES = {"bc": 7, "sc": 7, "sd": 7}
 
@@ -98,56 +97,34 @@ def station_masks(spec: SchemeSpec) -> tuple[int, ...]:
 
 
 def detection_ready_state(build: SchemeBuild) -> PhotonicState:
-    """The heralded part of the evolved state, with detector slots aligned
-    to the measurement basis so occupation projections implement the
-    detection.
+    """The heralded part of the evolved state, of squared norm P_hr, with
+    detector slots aligned to the measurement basis.
 
-    Every stage but the last acts on each party alone, so each party's
-    factor goes through them on its own, unheralded.  Each party term is
-    tagged once with its photon count in each station mask lifted through
-    the last stage (:func:`heraldnet.optics.feed_masks`); the parties' modes
-    are disjoint, so a partial product's counts are the sums of its terms'
-    (:func:`heraldnet.fock.product`).  A partial is dropped once they show
-    it cannot herald: a station's reach (modes with any column entry into
-    it) is unmet after the last party that meets it; more than N photons
-    sit in the modes whose every entry lies in a station, or fewer than N,
-    plus the most later parties can add, in those with some entry in one;
-    or two sit in the modes whose every entry lies in one station.  The
-    last stage (DA rotation composed in) runs under the station herald, so
-    the result is the heralded part of the full evolution, of squared norm
-    P_hr.  Raises ModeCollisionError if a stage before the last couples
-    parties.
+    Substitution is multiplicative, so each party's factor goes through
+    every stage on its own (the DA rotation composed into the last).  The
+    product of the evolved factors (:func:`heraldnet.fock.product`) keeps a
+    partial while no station holds two photons and every station whose
+    last feeding party is multiplied in holds exactly one.
     """
-    *early, final = build.stages
+    stages = build.stages
     if build.spec.detection_basis == "DA":
-        final = compose_maps(final, detector_rotation(build.spec))
-    factors = [reduce(lambda state, stage: apply(stage, state), early, f) for f in build.parties]
+        stages = (*stages[:-1], compose_maps(stages[-1], detector_rotation(build.spec)))
+    factors = [reduce(lambda state, stage: apply(stage, state), stages, f) for f in build.parties]
     stations = station_masks(build.spec)
-    reach, singles = feed_masks(final, stations), feed_masks(final, stations, every=True)
-    (must,) = feed_masks(final, (sum(stations),), every=True)
-    n, masks = len(stations), (must, reduce(or_, reach), *reach, *singles)
-    # A tag packs a term's photon count in each mask into a nibble, so tags add;
-    # ``doubled`` holds the bits of two or more photons in a singles nibble.
-    doubled = sum((MAX_OCCUPATION - 1) << BITS * i for i in range(2 + n, len(masks)))
+    # A tag packs a term's photon count in each station into a nibble, so tags
+    # add; ``doubled`` holds the bits of two or more photons in a nibble.
+    ones = sum(1 << BITS * s for s in range(len(stations)))
+    doubled = ones * (MAX_OCCUPATION - 1)
     tags = [{k: t for k in f.amplitudes if not (t := sum(
-        photons(k & m) << BITS * i for i, m in enumerate(masks))) & doubled} for f in factors]
-    # most[j]: the most photons party j can put in ``can``, at most one per station.
-    most = [max((t >> BITS & MAX_OCCUPATION for t in tag.values()), default=0) for tag in tags]
-    last = [max((j for j, f in enumerate(factors) if support(f) & m), default=0) for m in reach]
-    # After party j: the reach nibbles it closes and what later parties can add.
-    tests = [([MAX_OCCUPATION << BITS * (2 + i) for i, k in enumerate(last) if k == j],
-              sum(most[j + 1:])) for j in range(len(factors))]
+        photons(k & m) << BITS * s for s, m in enumerate(stations))) & doubled} for f in factors]
+    # closed[j]: a one in the nibble of each station that no party after j feeds.
+    fed = [reduce(or_, tag.values(), 0) for tag in tags]
+    closed = [ones & ~reduce(or_, fed[j + 1:], 0) for j in range(len(tags))]
 
     def keep(j: int, tag: int) -> bool:
-        closing, spare = tests[j]
-        if tag & doubled:
-            return False
-        for m in closing:
-            if not tag & m:
-                return False
-        return tag & MAX_OCCUPATION <= n <= (tag >> BITS & MAX_OCCUPATION) + spare
+        return not tag & doubled and tag & closed[j] == closed[j]
 
-    return apply(final, product(factors, tags, keep), stations=stations)
+    return product(factors, tags, keep)
 
 
 @dataclass(frozen=True)

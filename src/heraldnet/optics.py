@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from array import array
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -189,44 +187,15 @@ def phase_plate(mode: Mode, phase: float) -> LinearMap:
 # Application and checks
 # ----------------------------------------------------------------------
 
-def feed_masks(transform: LinearMap, masks: Sequence[int], every: bool = False) -> tuple[int, ...]:
-    """For each mask, the modes whose photons ``transform`` can send into it:
-    unmapped modes of the mask, and inputs with a column entry in it (with
-    ``every``, inputs whose column entries all lie in it)."""
-    in_mask = pack(dict.fromkeys(transform.columns, MAX_OCCUPATION))
-    test = all if every else any
-    return tuple(
-        (m & ~in_mask) | pack({idx: MAX_OCCUPATION for idx, col in transform.columns.items()
-                               if test((m >> (BITS * out)) & MAX_OCCUPATION for out, _ in col)})
-        for m in masks
-    )
-
-
-def apply(transform: LinearMap, state: PhotonicState, stations: Sequence[int] = ()) -> PhotonicState:
+def apply(transform: LinearMap, state: PhotonicState) -> PhotonicState:
     """Apply one map to a state by exact monomial expansion.
 
     An input monomial splits into its mapped photons ``key & in_mask`` and
-    its unmapped spectators ``rest``.  The expansion of the mapped photons,
-    started from unit amplitude, is a template of (partial key, coefficient)
-    pairs that depends only on the mapped photons and on which stations
-    ``rest`` already meets, so each distinct pair of those is expanded once
-    per call.  Each input then emits ``rest + partial`` with amplitude
-    ``amp * coefficient``, in input order and template order, and a
-    template is freed after its last input.
-
-    ``stations``, the packed masks of the detector stations on the last
-    stage of a circuit, keep only outputs with a photon in every station,
-    and a partial never takes an entry into a station that already holds
-    one.  A monomial that misses a station, lifted through the map as
-    :func:`feed_masks` does, is skipped whole, and partials that miss a
-    station are dropped right after its last feeding mode is expanded.
-    Occupations only grow, so a dropped monomial has no kept descendant and
-    every kept amplitude is the same sum as without ``stations``.
-
-    Like terms are merged with :func:`heraldnet.fock.cancel_add`, so a
-    cancellation leaves an exact zero, and partials whose amplitude is an
-    exact zero are dropped after each mapped mode is expanded: they would
-    only add zeros to their descendants.
+    its unmapped spectators ``rest``.  The mapped photons are substituted
+    one at a time, mapped modes ascending, starting from ``rest`` at the
+    input's amplitude.  Like terms are merged with
+    :func:`heraldnet.fock.cancel_add`, so a cancellation leaves an exact
+    zero.
 
     Raises :class:`ModeCollisionError` if an occupied unmapped mode collides
     with a map output.  The term count is not capped here: the drivers
@@ -234,73 +203,15 @@ def apply(transform: LinearMap, state: PhotonicState, stations: Sequence[int] = 
     """
     if transform.registry is not state.registry:
         raise RegistryError("map and state use different registries")
-    outputs = transform.output_indices()
     in_mask = pack(dict.fromkeys(transform.columns, MAX_OCCUPATION))
-    out_mask = pack(dict.fromkeys(outputs, MAX_OCCUPATION))
-    # station_of[out]: the station output mode ``out`` belongs to, or 0.
-    station_of = {
-        out: next((m for m in stations if (m >> (BITS * out)) & MAX_OCCUPATION), 0)
-        for out in outputs
-    }
+    out_mask = pack(dict.fromkeys(transform.output_indices(), MAX_OCCUPATION))
     # Mapped modes ascending, columns in stored order: fixes the order of every sum.
     steps = [
-        (BITS * idx, tuple((1 << (BITS * out), coeff, station_of[out]) for out, coeff in col))
+        (BITS * idx, tuple((1 << (BITS * out), coeff) for out, coeff in col))
         for idx, col in sorted(transform.columns.items())
     ]
-    # feeds[s]: the modes whose photons can end up in station s.
-    feeds = feed_masks(transform, stations)
-    # open_bits: a template key's bit for each station, above every mode's
-    # nibble, set while the station is empty.
-    open_bits = tuple((1 << (s + BITS * len(state.registry)), m) for s, m in enumerate(stations))
-
-    def template_key(key: int, rest: int) -> int:
-        """The mapped photons of ``key``, plus the open bit of each station
-        that ``rest`` does not meet, or -1 if some station cannot be fed."""
-        for f in feeds:
-            if not key & f:
-                return -1
-        tkey = key & in_mask
-        for bit, m in open_bits:
-            if not rest & m:
-                tkey |= bit
-        return tkey
-
-    def expand(tkey: int) -> dict[int, complex]:
-        mapped = tkey & in_mask
-        # closing[shift]: the open stations that no photon past that mapped mode feeds.
-        closing: dict[int, list[int]] = {}
-        for (bit, m), f in zip(open_bits, feeds):
-            if tkey & bit:
-                top = (mapped & f).bit_length() - 1
-                closing.setdefault(top - top % BITS, []).append(m)
-        # A station that ``rest`` already fills takes no entry at all.
-        full = {m for bit, m in open_bits if not tkey & bit}
-        poly: dict[int, complex] = {0: 1 + 0j}
-        for shift, col in steps:
-            count = (mapped >> shift) & MAX_OCCUPATION
-            if not count:
-                continue
-            if full:
-                col = tuple(e for e in col if e[2] not in full)
-            for _ in range(count):
-                nxt: dict[int, complex] = {}
-                for partial, pamp in poly.items():
-                    for step, coeff, station in col:
-                        if station and partial & station:
-                            continue
-                        out = partial + step
-                        val = nxt.get(out)
-                        nxt[out] = pamp * coeff if val is None else cancel_add(val, pamp * coeff)
-                poly = nxt
-            closed = closing.get(shift, ())
-            if closed or 0j in poly.values():
-                poly = {p: a for p, a in poly.items() if a and all(p & m for m in closed)}
-        return poly
-
-    # order[i]: input i's template, numbered by first use; users[t]: the inputs
-    # still to emit template t, so it is freed after the last.
-    numbers, order = {}, array("I")
-    for key in state.amplitudes:
+    new_terms: dict[int, complex] = {}
+    for key, amp in state.amplitudes.items():
         rest = key & ~in_mask
         clash = rest & out_mask
         if clash:
@@ -309,24 +220,17 @@ def apply(transform: LinearMap, state: PhotonicState, stations: Sequence[int] = 
                 f"occupied mode {mode.spatial_label}/{mode.polarization} is unmapped "
                 "but appears among the map outputs"
             )
-        order.append(numbers.setdefault(template_key(key, rest), len(numbers)))
-    tkeys, users = list(numbers), Counter(order)
-    templates: dict[int, dict[int, complex]] = {}
-    new_terms: dict[int, complex] = {}
-    for (key, amp), t in zip(state.amplitudes.items(), order):
-        tkey = tkeys[t]
-        if tkey < 0:
-            continue
-        template = templates.get(t)
-        if template is None:
-            template = templates[t] = expand(tkey)
-        users[t] -= 1
-        if not users[t]:
-            del templates[t]
-        rest = key & ~in_mask
-        for partial, coeff in template.items():
-            out = rest + partial
-            value = amp * coeff
+        poly = {rest: amp}
+        for shift, col in steps:
+            for _ in range((key >> shift) & MAX_OCCUPATION):
+                nxt: dict[int, complex] = {}
+                for partial, pamp in poly.items():
+                    for step, coeff in col:
+                        out = partial + step
+                        val = nxt.get(out)
+                        nxt[out] = pamp * coeff if val is None else cancel_add(val, pamp * coeff)
+                poly = nxt
+        for out, value in poly.items():
             cur = new_terms.get(out)
             new_terms[out] = value if cur is None else cancel_add(cur, value)
     return PhotonicState(state.registry, new_terms)

@@ -126,7 +126,8 @@ class SchemeSpec:
 
 class SchemeBuild(NamedTuple):
     """One initial factor per party on disjoint modes, circuit stages in the
-    order they apply (all but the last act on each party alone), and spec."""
+    order they apply, and spec.  Substitution is multiplicative, so every
+    stage may act on each party's factor alone."""
 
     parties: tuple[PhotonicState, ...]
     stages: tuple[LinearMap, ...]

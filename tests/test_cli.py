@@ -1,6 +1,10 @@
 """End-to-end tests that drive the command line entry point."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -338,6 +342,24 @@ class TestErrorExits:
         assert code == 1
         assert out == ""
         assert err == "error: no sign change of the crossover margin below 100000.0 km\n"
+
+    @pytest.mark.parametrize("argv", [
+        # about 1 MB, more than a pipe holds, so the writer meets the closed pipe
+        ["sweep", "--scheme", "bc", "--parties", "2", "--radius-grid", "0:100:0.01"],
+        ["simulate", "--scheme", "sc", "--parties", "2", "--eta", "0.5", "--format", "json"],
+    ])
+    def test_closed_stdout_stops_quietly(self, argv):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen([sys.executable, "-m", "heraldnet.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        proc.wait(timeout=60)
+        assert "Traceback" not in err and "Exception ignored" not in err, err
 
     @pytest.mark.parametrize(
         "argv",

@@ -2,15 +2,13 @@
 
 import dataclasses
 import math
-from functools import reduce
-from operator import or_
 
 import pytest
 
 from conftest import explicit_evolution, heralded_part, reference_outcomes, without_c1_plate
 from heraldnet import heralding, schemes
 from heraldnet.analytic import closed_p_suc, exact_h_eff, exact_p_hr
-from heraldnet.fock import ModeCollisionError, norm_squared, photons, product, support
+from heraldnet.fock import norm_squared, occupations, product
 from heraldnet.heralding import (
     ORACLE_MAX_PARTIES,
     Metrics,
@@ -25,7 +23,7 @@ from heraldnet.heralding import (
     detector_rotation,
     enumerate_patterns,
 )
-from heraldnet.optics import LinearMap, apply, feed_masks
+from heraldnet.optics import LinearMap, apply, compose_maps
 from heraldnet.schemes import SCHEMES, SchemeBuild, build_bc, build_sc, build_scheme, build_sd
 
 
@@ -117,97 +115,78 @@ class TestDetectionPipeline:
             assert amp == pytest.approx(state.terms[monomial], abs=1e-12)
 
     @staticmethod
-    def _calls(monkeypatch, build, kept_per_party=None):
-        """(stage, state, keyword arguments, output) of each call the evolution
-        makes; ``kept_per_party`` collects the product's size after each party."""
-        calls = []
+    def _trace(monkeypatch, build):
+        """The (stage, state, output) of each ``apply`` call the evolution
+        makes, the factors and tags it multiplies with the size of the product
+        of each proper prefix of the parties, and the ready state."""
+        calls, seen = [], {}
 
-        def record(stage, state, **kwargs):
-            out = apply(stage, state, **kwargs)
-            calls.append((stage, state, kwargs, out))
-            return out
+        def record(stage, state):
+            calls.append((stage, state, apply(stage, state)))
+            return calls[-1][2]
 
-        def counted_product(factors, tags, keep):
-            def counted(j, tag):
-                kept = keep(j, tag)
-                kept_per_party[j] = kept_per_party.get(j, 0) + kept
-                return kept
-            return product(factors, tags, counted)
+        def traced_product(factors, tags, keep):
+            seen.update(factors=factors, tags=tags, sizes=[
+                len(product(factors[:j], tags[:j], keep)) for j in range(1, len(factors))])
+            return product(factors, tags, keep)
 
         monkeypatch.setattr(heralding, "apply", record)
-        if kept_per_party is not None:
-            monkeypatch.setattr(heralding, "product", counted_product)
-        detection_ready_state(build)
-        return calls
+        monkeypatch.setattr(heralding, "product", traced_product)
+        return calls, seen, detection_ready_state(build)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("eta", [1.0, 0.9, 0.3])
     def test_every_stage_keeps_the_reachable_part(self, monkeypatch, scheme, n, eta):
-        # each party goes through the early stages on its own, unfiltered;
-        # the pruned product of the parties equals the unfiltered global
-        # evolution restricted to the keys that meet every station's reach,
-        # hold at most n photons in the modes that must reach a station and
-        # at least n in those that can, and at most one in the modes that
-        # reach only one station; each kept amplitude is the product of the
-        # parties' amplitudes, bit for bit; the heralded last stage keeps
-        # exactly the heralded part of the unfiltered evolution
+        # each party goes through every stage on its own, unfiltered, with the
+        # detector rotation composed into the last; the herald product of the
+        # evolved parties is exactly the heralded part of the unfiltered
+        # global evolution
         build = build_scheme(scheme, n, eta)
-        *local, (final, kept, kwargs, ready) = self._calls(monkeypatch, build)
-        early = build.stages[:-1]
-        assert [(stage, kw) for stage, _, kw, _ in local] == [(s, {}) for s in early] * n
+        calls, seen, ready = self._trace(monkeypatch, build)
+        stages = list(build.stages)
+        if build.spec.detection_basis == "DA":
+            stages[-1] = compose_maps(stages[-1], detector_rotation(build.spec))
+        assert [stage for stage, _, _ in calls] == stages * n
         for j, party in enumerate(build.parties):
-            steps = local[j * len(early):(j + 1) * len(early)]
-            inputs = [party] + [out for _, _, _, out in steps[:-1]]
-            assert [state for _, state, _, _ in steps] == inputs
-        factors = [out for _, _, _, out in local[len(early) - 1::len(early)]]
-        stations = heralding.station_masks(build.spec)
-        assert kwargs == {"stations": stations}
-        reach, singles = feed_masks(final, stations), feed_masks(final, stations, every=True)
-        (must,) = feed_masks(final, (sum(stations),), every=True)
-        can = reduce(or_, reach)
-        full = build.state
-        for stage in early:
-            full = apply(stage, full)
-        expected = {k: a for k, a in full.amplitudes.items()
-                    if all(k & m for m in reach) and photons(k & must) <= n <= photons(k & can)
-                    and all(photons(k & m) <= 1 for m in singles)}
-        assert kept.amplitudes.keys() == expected.keys()
-        for key, amp in expected.items():
-            assert abs(kept.amplitudes[key] - amp) <= 2e-15 * abs(amp)
-            local_amp = 1 + 0j
-            for factor in factors:
-                local_amp *= factor.amplitudes[key & support(factor)]
-            assert kept.amplitudes[key] == local_amp
+            steps = calls[j * len(stages):(j + 1) * len(stages)]
+            assert [state for _, state, _ in steps] == [party] + [out for *_, out in steps[:-1]]
+            assert seen["factors"][j] is steps[-1][2]
         self._assert_heralded_part(build, ready, explicit_evolution(build), bitwise=False)
 
     def test_ring_product_counts(self, monkeypatch):
-        # sd N=4: 20 terms per party; the one-photon-per-station bound keeps
-        # 6, 18, 54 and 162 (unfiltered, 160,000 before the last stage)
-        sizes = {}
-        *_, (_, kept, _, ready) = self._calls(monkeypatch, build_sd(4, 0.9), sizes)
-        assert list(sizes.values()) == [6, 18, 54, 162]
-        assert (len(kept), len(ready)) == (162, 2592)
+        # sd N=4: 30 terms per party, 24 with at most one photon per station;
+        # the first 1, 2 and 3 parties keep 24, 216 and 1,728 (unfiltered,
+        # 682,871 after every stage)
+        _, seen, ready = self._trace(monkeypatch, build_sd(4, 0.9))
+        assert [len(f) for f in seen["factors"]] == [30] * 4
+        assert [len(t) for t in seen["tags"]] == [24] * 4
+        assert (seen["sizes"], len(ready)) == ([24, 216, 1728], 2592)
 
     def test_central_product_counts(self, monkeypatch):
-        # sc N=4: 9 terms per party (unfiltered, 6,561 before the last stage)
-        sizes = {}
-        *_, (_, kept, _, ready) = self._calls(monkeypatch, build_sc(4, 0.9), sizes)
-        assert list(sizes.values()) == [9, 65, 428, 1056]
-        assert (len(kept), len(ready)) == (1056, 2048)
+        # sc N=4: 26 terms per party, 20 with at most one photon per station;
+        # the last party closes the ring at station 1, so its 8,192 products
+        # meet on 4,096 keys and half of them cancel to exact zeros
+        _, seen, ready = self._trace(monkeypatch, build_sc(4, 0.9))
+        assert [len(f) for f in seen["factors"]] == [26] * 4
+        assert [len(t) for t in seen["tags"]] == [20] * 4
+        assert (seen["sizes"], len(ready)) == ([20, 192, 1792], 2048)
 
-    def test_parties_coupled_before_the_last_stage_raise(self):
+    def test_parties_coupled_before_the_last_stage_share_modes(self, monkeypatch):
         # a splitter between c1_H and c2_H ahead of the circuit puts both
-        # parties' photons in both modes, so the state is no product
+        # parties' photons in both modes, so their factors share modes; the
+        # product of the factors is still the evolved state
         build = build_bc(2, 0.9)
         registry = build.spec.registry
         c1, c2 = (registry.get(f"c{i}", "H").index for i in (1, 2))
         r = 1 / math.sqrt(2)
         mix = LinearMap(registry, {c1: ((c1, r), (c2, r)), c2: ((c1, r), (c2, -r))})
         coupled = build._replace(stages=(mix,) + build.stages)
-        assert len(heralded_part(coupled, explicit_evolution(coupled))) > 0
-        with pytest.raises(ModeCollisionError, match="two factors"):
-            detection_ready_state(coupled)
+        _, seen, ready = self._trace(monkeypatch, coupled)
+        first, second = ({i for k in f.amplitudes for i, _ in occupations(k)} for f in seen["factors"])
+        assert first & second
+        self._assert_heralded_part(coupled, ready, explicit_evolution(coupled), bitwise=False)
+        assert len(ready) == 8
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_pattern_probabilities_sum_to_herald(self, scheme):

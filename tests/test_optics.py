@@ -9,13 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heraldnet.fock import (
-    MAX_OCCUPATION,
     ModeCollisionError,
     ModeRegistry,
     RegistryError,
-    cancel_add,
     norm_squared,
-    pack,
     state_from_creation_product,
     superpose,
 )
@@ -181,132 +178,6 @@ def test_collision_with_occupied_unmapped_output():
     occupied = state_from_creation_product(r, [a, b])
     with pytest.raises(ModeCollisionError):
         apply(shift, occupied)
-
-
-def _station(*modes):
-    return pack({m.index: MAX_OCCUPATION for m in modes})
-
-
-def _split_to_stations(pairs):
-    # a1_H and b1_V each split evenly between stations d1 and e1.
-    a, b, d, e = pairs["a1"], pairs["b1"], pairs["d1"], pairs["e1"]
-    stage = merge_maps([bs_5050(a[0], d[0], e[0]), bs_5050(b[1], d[1], e[1])])
-    return stage, (_station(*d), _station(*e))
-
-
-def test_stations_keep_exactly_the_heralded_part():
-    # Only the two-photon term can fill both stations; c1 is unmapped.
-    r, pairs, _ = make_registry()
-    a, b, c = pairs["a1"], pairs["b1"], pairs["c1"]
-    stage, stations = _split_to_stations(pairs)
-    state = superpose(
-        [
-            (0.6, state_from_creation_product(r, [a[0], b[1], c[0]])),
-            (0.64, state_from_creation_product(r, [a[0]])),
-            (0.48j, state_from_creation_product(r, [c[1]])),
-        ]
-    )
-    heralded = apply(stage, state, stations=stations)
-    full = apply(stage, state)
-    expected = {k: v for k, v in full.amplitudes.items() if all(k & m for m in stations)}
-    assert heralded.amplitudes == expected
-    assert (len(heralded), len(full)) == (2, 7)
-    assert norm_squared(heralded) == pytest.approx(0.36 * 0.5)
-
-
-def test_stations_drop_doubly_occupied_stations():
-    r, pairs, _ = make_registry()
-    a, b = pairs["a1"], pairs["b1"]
-    stage, stations = _split_to_stations(pairs)
-    state = state_from_creation_product(r, [a[0], b[1]])
-    heralded = apply(stage, state, stations=stations)
-    # d1_H d1_V and e1_H e1_V put two photons in one station.
-    assert len(apply(stage, state)) == 4 and len(heralded) == 2
-    for key in heralded.amplitudes:
-        assert all(bin(key & m).count("1") == 1 for m in stations)
-    assert norm_squared(heralded) == pytest.approx(0.5)
-    # Two photons cannot fill three stations.
-    three = stations + (_station(*pairs["c1"]),)
-    assert apply(stage, state, stations=three).amplitudes == {}
-
-
-def test_station_held_by_a_spectator_takes_no_entry():
-    # c1_H is unmapped and already fills station (c1_H, d1_H), so b1_V may
-    # only go to e1_V: its d1_H entry would put a second photon there.
-    r, pairs, _ = make_registry()
-    a, b, c, d, e = (pairs[k] for k in ("a1", "b1", "c1", "d1", "e1"))
-    stage = LinearMap(r, {
-        a[0].index: ((e[0].index, 1 + 0j),),
-        b[1].index: ((d[0].index, R + 0j), (e[1].index, R + 0j)),
-    })
-    state = state_from_creation_product(r, [a[0], b[1], c[0]])
-    stations = (_station(c[0], d[0]), _station(e[0]))
-    heralded = apply(stage, state, stations=stations)
-    assert heralded.amplitudes == {pack({c[0].index: 1, e[0].index: 1, e[1].index: 1}): R}
-    assert len(apply(stage, state)) == 2
-
-
-class _Counted(complex):
-    """A coefficient that counts the partial monomials it multiplies."""
-
-    uses = 0
-
-    def __rmul__(self, other):
-        _Counted.uses += 1
-        return complex.__rmul__(self, other)
-
-
-def test_exact_zero_partials_are_not_expanded():
-    # One D/A splitter sends c1 to stations d1 (D) and e1 (A); f1_H then goes
-    # to station b1 or to a1.  c1_H c1_V -> (D^2 - A^2)/2, so every partial
-    # with one photon in each of d1 and e1 is an exact zero, and none of them
-    # is carried through f1_H.  c1_H^2 -> (D + A)^2/2 keeps its cross terms.
-    r, pairs, env = make_registry()
-    a, b, c, d, e = (pairs[k] for k in ("a1", "b1", "c1", "d1", "e1"))
-    da = pbs_da(c, d, e)
-    stage = LinearMap(r, {
-        **{i: tuple((out, _Counted(k)) for out, k in col) for i, col in da.columns.items()},
-        env[0].index: ((b[0].index, _Counted(R)), (a[0].index, _Counted(R))),
-    })
-    state = superpose([
-        (0.6, state_from_creation_product(r, [c[0], c[1], env[0]])),
-        (0.8, state_from_creation_product(r, [c[0], c[0], env[0]])),
-    ])
-    stations = (_station(*d), _station(*e), _station(*b))
-    _Counted.uses = 0
-    kept = apply(stage, state, stations=stations)
-    # c1_H c1_V: 4, then 2 open-station entries for each of 4 partials;
-    # c1_H^2: the same, then 2 entries of f1_H for each of 4 partials.
-    assert _Counted.uses == (4 + 4 * 2) + (4 + 4 * 2 + 4 * 2)
-    full = apply(stage, state)
-    expected = [(k, v) for k, v in full.amplitudes.items()
-                if all(bin(k & m).count("1") == 1 for m in stations)]
-    assert list(kept.amplitudes.items()) == expected
-    assert len(kept) == 4
-
-
-def test_shared_mapped_part_is_expanded_once():
-    # a1_H a1_V is expanded once for both inputs, which differ only in their
-    # unmapped spectator (b1_H or e1_V): 2 + 2 * 2 column products, not twice that.
-    r, pairs, _ = make_registry()
-    a, b, c, d, e = (pairs[k] for k in ("a1", "b1", "c1", "d1", "e1"))
-    stage = LinearMap(r, {
-        a[0].index: ((c[0].index, _Counted(R)), (d[0].index, _Counted(R))),
-        a[1].index: ((c[1].index, _Counted(R)), (d[1].index, _Counted(-R))),
-    })
-    inputs = [
-        (0.6, state_from_creation_product(r, [a[0], a[1], b[0]])),
-        (0.8j, state_from_creation_product(r, [a[0], a[1], e[1]])),
-    ]
-    _Counted.uses = 0
-    out = apply(stage, superpose(inputs))
-    assert _Counted.uses == 2 + 2 * 2
-    merged = {}
-    for coeff, state in inputs:
-        for key, amp in apply(stage, superpose([(coeff, state)])).amplitudes.items():
-            merged[key] = cancel_add(merged[key], amp) if key in merged else amp
-    assert list(out.amplitudes.items()) == list(merged.items())
-    assert len(out) == 8
 
 
 def test_is_isometry_rejects_scaled_column():
