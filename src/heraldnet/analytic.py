@@ -144,17 +144,6 @@ def _check_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
-def eta_of_length(alpha: float, length_km: float) -> float:
-    """Amplitude transmission e^(-alpha*l) of a fibre of length l."""
-    _check_finite("attenuation", alpha)
-    _check_finite("length", length_km)
-    if alpha <= 0:
-        raise ValueError("attenuation must be positive")
-    if length_km < 0:
-        raise ValueError("length must be non-negative")
-    return math.exp(-alpha * length_km)
-
-
 def crossover_margin(radius_km: float, n: int, alpha: float) -> float:
     """g(R) = e^(-2 alpha R) + e^(4 alpha R sin(pi/N)) - 2.
 

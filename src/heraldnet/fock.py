@@ -17,8 +17,9 @@ Conventions:
   ``|a|^2 * k_1! * ... * k_m!``.
 * A sum whose magnitude is at most ``CANCEL_TOL`` times the sum of its
   parts' magnitudes is rounding residue of a cancellation and is stored as an
-  exact zero (:func:`cancel_add`); states drop exact zeros on construction
-  and nothing else, so an amplitude is never lost for being small.
+  exact zero (:func:`cancel_add`, :func:`overlap`); states drop exact zeros
+  on construction and nothing else, so an amplitude is never lost for being
+  small.
 * A monomial holds at most ``MAX_OCCUPATION`` photons, so no occupation
   carries into the next mode's bits: photons enter only through
   :func:`with_photons` and :func:`product`, which check the total, and
@@ -273,12 +274,16 @@ def inner_product(left: PhotonicState, right: PhotonicState) -> complex:
 
 def overlap(left: Mapping[int, complex], right: Mapping[int, complex],
             weight: Callable[[int], float]) -> complex:
-    """sum conj(left[k]) * right[k] * weight(k), over the smaller map (``left`` on a tie)."""
+    """sum conj(left[k]) * right[k] * weight(k), over the smaller map (``left``
+    on a tie); a sum that cancels to rounding residue, by :func:`cancel_add`'s
+    rule against the sum of the terms' magnitudes, is an exact zero."""
     if len(right) < len(left):
         return overlap(right, left, weight).conjugate()
-    acc = 0j
+    acc, scale = 0j, 0.0
     for key, a in left.items():
         b = right.get(key)
         if b is not None:
-            acc += a.conjugate() * b * weight(key)
-    return acc
+            term = a.conjugate() * b * weight(key)
+            acc += term
+            scale += abs(term)
+    return acc if abs(acc) > CANCEL_TOL * scale else 0j

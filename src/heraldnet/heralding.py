@@ -1,9 +1,10 @@
 """Click-pattern analysis: heralding, success and efficiency metrics.
 
-A herald is the event "every detector station saw exactly one photon".  For
-each station the photon is resolved in the station's measurement basis, so a
-click pattern for an n-party network is a length-n tuple of basis letters
-("H"/"V" for the central schemes, "D"/"A" for the decentralized one).
+A herald is the event "every detector station saw exactly one photon".  Each
+scheme's circuit ends in its measurement basis, so a station's photon sits
+in its H or V slot, and a click pattern for an n-party network is a length-n
+tuple of the letters the spec gives those slots ("H"/"V" for the central
+schemes, "D"/"A" for the decentralized one).
 
 All probabilities here are computed from the exact evolved amplitudes, never
 from closed-form shortcuts; the closed forms live in :mod:`.analytic` and
@@ -30,19 +31,17 @@ from .fock import (
     photons,
     product,
 )
-from .optics import LinearMap, apply, compose_maps
+from .optics import apply
 from .schemes import SchemeBuild, SchemeSpec
 
-# Exhaustive amplitude tracking is exponential in the party count; past these
-# sizes a single case needs minutes and gigabytes, so the drivers refuse it.
+# Exhaustive amplitude tracking is exponential in the party count; past this
+# size a single case needs minutes and gigabytes, so the drivers refuse it.
 # This cap is the only bound on the term count (1,048,576 at most, sc N=7).
 # Measured on 2 cores, Python 3.11, one fresh process per case, eta 0.9 and 0.5:
 # bc N=7 0.08 to 0.11 s and 18 MB, sc N=6 0.8 to 0.9 s and 66 MB, sc N=7 7.8
 # to 8.2 s and 467 MB, sd N=6 0.26 to 0.35 s and 41 MB, sd N=7 2.1 to 2.4 s and 151 MB;
 # at N=8 every scheme has 16 photons, more than a packed key holds (MAX_OCCUPATION).
-ORACLE_MAX_PARTIES = {"bc": 7, "sc": 7, "sd": 7}
-
-AMPLITUDE_TOL = 1e-12
+ORACLE_MAX_PARTIES = 7
 
 BASIS_LETTERS = {"HV": ("H", "V"), "DA": ("D", "A")}
 
@@ -60,10 +59,9 @@ class OracleSizeError(ValueError):
 
 
 def check_oracle_size(scheme: str, n: int) -> None:
-    cap = ORACLE_MAX_PARTIES[scheme]
-    if n > cap:
+    if n > ORACLE_MAX_PARTIES:
         raise OracleSizeError(
-            f"exact simulation of {scheme} is capped at {cap} parties, got {n}; "
+            f"exact simulation of {scheme} is capped at {ORACLE_MAX_PARTIES} parties, got {n}; "
             "use the closed-form evaluators for larger networks"
         )
 
@@ -74,21 +72,6 @@ def enumerate_patterns(n: int, basis: str) -> list[tuple[str, ...]]:
     return list(itertools.product(letters, repeat=n))
 
 
-def detector_rotation(spec: SchemeSpec) -> LinearMap:
-    """Basis change that moves diagonal-basis content into the H/V slots.
-
-    Maps d_H -> (d_H + d_V)/sqrt(2) and d_V -> (d_H - d_V)/sqrt(2) on every
-    detector pair, so a D photon lands in the H slot and an A photon in the
-    V slot.  The map is its own inverse.
-    """
-    r = 1.0 / math.sqrt(2.0)
-    columns = {}
-    for dh, dv in spec.detector_stations:
-        columns[dh.index] = ((dh.index, r), (dv.index, r))
-        columns[dv.index] = ((dh.index, r), (dv.index, -r))
-    return LinearMap(spec.registry, columns)
-
-
 def station_masks(spec: SchemeSpec) -> tuple[int, ...]:
     """The packed mask of each detector station's two modes, in station order."""
     return tuple(
@@ -97,19 +80,17 @@ def station_masks(spec: SchemeSpec) -> tuple[int, ...]:
 
 
 def detection_ready_state(build: SchemeBuild) -> PhotonicState:
-    """The heralded part of the evolved state, of squared norm P_hr, with
-    detector slots aligned to the measurement basis.
+    """The heralded part of the evolved state, of squared norm P_hr.
 
     Substitution is multiplicative, so each party's factor goes through
-    every stage on its own (the DA rotation composed into the last).  The
-    product of the evolved factors (:func:`heraldnet.fock.product`) keeps a
-    partial while no station holds two photons and every station whose
-    last feeding party is multiplied in holds exactly one.
+    every stage of ``build.stages`` on its own, the same way for every
+    scheme.  The product of the evolved factors
+    (:func:`heraldnet.fock.product`) keeps a partial while no station holds
+    two photons and every station whose last feeding party is multiplied in
+    holds exactly one.
     """
-    stages = build.stages
-    if build.spec.detection_basis == "DA":
-        stages = (*stages[:-1], compose_maps(stages[-1], detector_rotation(build.spec)))
-    factors = [reduce(lambda state, stage: apply(stage, state), stages, f) for f in build.parties]
+    factors = [reduce(lambda state, stage: apply(stage, state), build.stages, f)
+               for f in build.parties]
     stations = station_masks(build.spec)
     # A tag packs a term's photon count in each station into a nibble, so tags
     # add; ``doubled`` holds the bits of two or more photons in a nibble.
@@ -158,12 +139,11 @@ class PatternOutcome:
     def feedforward_phase(self) -> float:
         """Relative phase between the two GHZ branches, in [0, 2 pi).
 
-        A branch is absent when its amplitude is at most ``AMPLITUDE_TOL``
-        times sqrt(probability), the largest it can be for this pattern.
+        A branch is absent only when its amplitude is an exact zero, which
+        is what :func:`heraldnet.fock.overlap` gives for a cancellation.
         """
         x, y = self.ghz_amplitudes
-        scale = AMPLITUDE_TOL * math.sqrt(self.probability)
-        if abs(x) <= scale or abs(y) <= scale:
+        if not x or not y:
             raise NoGhzComponentError(
                 f"pattern {''.join(self.pattern)} has no correctable GHZ component"
             )

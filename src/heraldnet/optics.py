@@ -20,6 +20,8 @@ term by term with the usual treatment of these networks):
 * H/V polarizing splitter: H of the first input goes straight through, V is
   reflected, and vice versa for the second input, all with unit coefficient
   in the canonical H/V basis.
+* Half-wave plate: ``H -> (H + V)/sqrt(2)``, ``V -> (H - V)/sqrt(2)``, which
+  turns a diagonal-basis measurement into an H/V one.
 """
 
 from __future__ import annotations
@@ -181,6 +183,18 @@ def pbs_hv(
 def phase_plate(mode: Mode, phase: float) -> LinearMap:
     """Pure phase e^{i*phase} on one mode."""
     return LinearMap(_shared_registry(mode), {mode.index: ((mode.index, cmath.exp(1j * phase)),)})
+
+
+def half_wave_plate(pair: tuple[Mode, Mode]) -> LinearMap:
+    """Half-wave plate at 22.5 degrees: H -> (H + V)/sqrt(2), V -> (H - V)/sqrt(2).
+
+    It moves D content into the H slot and A content into the V slot, and
+    it is its own inverse.
+    """
+    h, v = _hv_pair(pair)
+    r = 1.0 / math.sqrt(2.0)
+    return LinearMap(_shared_registry(h, v), {h.index: ((h.index, r), (v.index, r)),
+                                              v.index: ((h.index, r), (v.index, -r))})
 
 
 # ----------------------------------------------------------------------

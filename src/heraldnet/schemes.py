@@ -25,7 +25,7 @@ Scheme summary (n parties, photon budget 2n):
     next party), both paths are lossy, and a local canonical-basis splitter
     combines the returning ``b`` with the neighbour's ``c`` into a retained
     path ``e`` and a detector path ``d``.  Detection is in the diagonal
-    basis.
+    basis: a half-wave plate on each ``d`` turns it into an H/V measurement.
 """
 
 from __future__ import annotations
@@ -38,14 +38,16 @@ from .fock import (
     Mode,
     ModeRegistry,
     PhotonicState,
+    pack,
     product,
     state_from_creation_product,
     superpose,
-    with_photons,
 )
 from .optics import (
     LinearMap,
     bs_5050,
+    compose_maps,
+    half_wave_plate,
     loss_channel,
     merge_maps,
     pbs_da,
@@ -106,7 +108,9 @@ class SchemeSpec:
     """Static description of a built network.
 
     ``detector_stations`` and ``retained_pairs`` are per-party (H, V) mode
-    pairs; ``detection_basis`` is ``"HV"`` or ``"DA"``; ``ghz_pair`` holds
+    pairs; ``detection_basis`` (``"HV"`` or ``"DA"``) names the letters of
+    each station's H and V slot, since the circuit itself ends in the
+    measurement basis; ``ghz_pair`` holds
     the two orthonormal retained states whose balanced superposition is the
     target GHZ state; ``feedforward_rule`` predicts the correcting phase for
     a herald outcome tuple.
@@ -126,7 +130,9 @@ class SchemeSpec:
 
 class SchemeBuild(NamedTuple):
     """One initial factor per party on disjoint modes, circuit stages in the
-    order they apply, and spec.  Substitution is multiplicative, so every
+    order they apply, and spec.  The stages carry every optical element of
+    the scheme, measurement basis changes included, so every scheme's
+    detectors read H/V slots.  Substitution is multiplicative, so every
     stage may act on each party's factor alone."""
 
     parties: tuple[PhotonicState, ...]
@@ -181,11 +187,6 @@ def _photon_pairs(registry: ModeRegistry, n: int) -> tuple[PhotonicState, ...]:
                  for i in range(1, n + 1))
 
 
-def bell_initial_state(registry: ModeRegistry, n: int) -> PhotonicState:
-    """Product of n polarization Bell pairs, 2^n monomials of amplitude 2^(-n/2)."""
-    return product(_bell_pairs(registry, n))
-
-
 # ----------------------------------------------------------------------
 # Shared GHZ bookkeeping
 # ----------------------------------------------------------------------
@@ -193,13 +194,9 @@ def bell_initial_state(registry: ModeRegistry, n: int) -> PhotonicState:
 def _diagonal_string(pairs: list[tuple[Mode, Mode]], sign: float) -> PhotonicState:
     """Normalized product over parties of (H + sign*V)/sqrt(2) on given pairs."""
     registry = pairs[0][0].registry
-    state = state_from_creation_product(registry, [])
     r = 1.0 / math.sqrt(2.0)
-    for h, v in pairs:
-        state = superpose(
-            [(r, with_photons(state, {h.index: 1})), (sign * r, with_photons(state, {v.index: 1}))]
-        )
-    return state
+    return product([PhotonicState(registry, {pack({h.index: 1}): r, pack({v.index: 1}): sign * r})
+                    for h, v in pairs])
 
 
 def _canonical_string(pairs: list[tuple[Mode, Mode]], which: str) -> PhotonicState:
@@ -231,33 +228,12 @@ def _decentral_feedforward(n: int) -> Callable[[tuple[str, ...]], float]:
 # ----------------------------------------------------------------------
 
 def build_bc(n: int, eta: float) -> SchemeBuild:
-    """Bell-pair scheme with a central heralding station.
-
-    A pi phase plate sits on path ``c1`` before the central splitters; it
-    flips no measurable quantity.
-    """
+    """Bell-pair scheme with a central heralding station."""
     _check_params(n, eta)
     registry = ModeRegistry()
     b = _register_pairs(registry, "b", n, "retained")
     c = _register_pairs(registry, "c", n, "internal")
-    f = _register_pairs(registry, "f", n, "environment")
-    d = _register_pairs(registry, "d", n, "detector")
-
-    stages = (_c1_plate(c), _loss_stage(c, f, eta), _central_pbs_stage(c, d, n))
-
-    spec = SchemeSpec(
-        scheme="bc",
-        n_parties=n,
-        eta=eta,
-        registry=registry,
-        detector_stations=tuple(d),
-        retained_pairs=tuple(b),
-        environment_modes=_flatten(f),
-        detection_basis="HV",
-        ghz_pair=(_diagonal_string(b, +1.0), _diagonal_string(b, -1.0)),
-        feedforward_rule=_central_feedforward(n),
-    )
-    return SchemeBuild(_bell_pairs(registry, n), stages, spec)
+    return _central("bc", n, eta, _bell_pairs(registry, n), (), b, c)
 
 
 def build_sc(n: int, eta: float) -> SchemeBuild:
@@ -267,18 +243,25 @@ def build_sc(n: int, eta: float) -> SchemeBuild:
     a = _register_pairs(registry, "a", n, "internal")
     b = _register_pairs(registry, "b", n, "retained")
     c = _register_pairs(registry, "c", n, "internal")
+    splitters = [bs_5050(a[i][k], b[i][k], c[i][k]) for i in range(n) for k in (0, 1)]
+    return _central("sc", n, eta, _photon_pairs(registry, n), (merge_maps(splitters),), b, c)
+
+
+def _central(scheme: str, n: int, eta: float, parties: tuple[PhotonicState, ...],
+             source_stages: tuple[LinearMap, ...], b: list[tuple[Mode, Mode]],
+             c: list[tuple[Mode, Mode]]) -> SchemeBuild:
+    """The central station that ``bc`` and ``sc`` share: paths ``c`` cross
+    a pi phase plate on ``c1`` (it flips no measurable quantity), lossy
+    channels into environment ``f``, and a ring of diagonal-basis splitters
+    onto detectors ``d``, measured in H/V; paths ``b`` are retained."""
+    registry = b[0][0].registry
     f = _register_pairs(registry, "f", n, "environment")
     d = _register_pairs(registry, "d", n, "detector")
-
-    splitters = []
-    for i in range(n):
-        splitters.append(bs_5050(a[i][0], b[i][0], c[i][0]))
-        splitters.append(bs_5050(a[i][1], b[i][1], c[i][1]))
-    stages = (merge_maps(splitters), _c1_plate(c), _loss_stage(c, f, eta),
-              _central_pbs_stage(c, d, n))
-
+    c1_plate = merge_maps([phase_plate(c[0][0], math.pi), phase_plate(c[0][1], math.pi)])
+    # Party i's D output feeds station i, its A output feeds station i+1.
+    splitters = merge_maps([pbs_da(c[i], d[i], d[_nxt(i + 1, n) - 1]) for i in range(n)])
     spec = SchemeSpec(
-        scheme="sc",
+        scheme=scheme,
         n_parties=n,
         eta=eta,
         registry=registry,
@@ -289,7 +272,8 @@ def build_sc(n: int, eta: float) -> SchemeBuild:
         ghz_pair=(_diagonal_string(b, +1.0), _diagonal_string(b, -1.0)),
         feedforward_rule=_central_feedforward(n),
     )
-    return SchemeBuild(_photon_pairs(registry, n), stages, spec)
+    stages = (*source_stages, c1_plate, _loss_stage(c, f, eta), splitters)
+    return SchemeBuild(parties, stages, spec)
 
 
 def build_sd(n: int, eta: float) -> SchemeBuild:
@@ -307,9 +291,13 @@ def build_sd(n: int, eta: float) -> SchemeBuild:
     input_pbs = [pbs_da(a[i], b[i], c[i]) for i in range(n)]
     loss = merge_maps([_loss_stage(b, f, eta), _loss_stage(c, g, eta)])
     # Party i combines its own b with the c its predecessor sent (c[-1] is c_n).
-    combine = [pbs_hv(b[i], c[i - 1], e[i], d[i]) for i in range(n)]
+    combine = merge_maps([pbs_hv(b[i], c[i - 1], e[i], d[i]) for i in range(n)])
+    # A plate on each d sends D to d_H and A to d_V.  The plates' own columns
+    # go: nothing feeds d before this stage, and they would break the isometry.
+    fused = compose_maps(combine, merge_maps([half_wave_plate(pair) for pair in d]))
+    measure = LinearMap(registry, {i: fused.columns[i] for i in combine.columns})
 
-    stages = (merge_maps(input_pbs), loss, merge_maps(combine))
+    stages = (merge_maps(input_pbs), loss, measure)
     spec = SchemeSpec(
         scheme="sd",
         n_parties=n,
@@ -335,10 +323,6 @@ def build_scheme(scheme: str, n: int, eta: float) -> SchemeBuild:
     return build_sd(n, eta)
 
 
-def _c1_plate(c: list[tuple[Mode, Mode]]) -> LinearMap:
-    return merge_maps([phase_plate(c[0][0], math.pi), phase_plate(c[0][1], math.pi)])
-
-
 def _loss_stage(
     paths: list[tuple[Mode, Mode]], envs: list[tuple[Mode, Mode]], eta: float
 ) -> LinearMap:
@@ -346,14 +330,6 @@ def _loss_stage(
     for (ph, pv), (eh, ev) in zip(paths, envs):
         maps.append(loss_channel(ph, eh, eta))
         maps.append(loss_channel(pv, ev, eta))
-    return merge_maps(maps)
-
-
-def _central_pbs_stage(
-    c: list[tuple[Mode, Mode]], d: list[tuple[Mode, Mode]], n: int
-) -> LinearMap:
-    # Party i's D output feeds station i, its A output feeds station i+1.
-    maps = [pbs_da(c[i], d[i], d[_nxt(i + 1, n) - 1]) for i in range(n)]
     return merge_maps(maps)
 
 

@@ -31,7 +31,6 @@ from heraldnet.heralding import (
     PatternOutcome,
     compute_metrics,
     detection_ready_state,
-    detector_rotation,
     enumerate_patterns,
     station_masks,
 )
@@ -49,13 +48,11 @@ _acceptance: dict[int, tuple[str, list[tuple[str, bool, str]], list[str]]] = {}
 
 
 def explicit_evolution(build):
-    """The full output state: every circuit stage, then the detector rotation
-    for diagonal-basis detection, each applied on its own and unheralded."""
+    """The full output state: every circuit stage applied to the global
+    initial state on its own, unheralded."""
     state = build.state
     for stage in build.stages:
         state = apply(stage, state)
-    if build.spec.detection_basis == "DA":
-        state = apply(detector_rotation(build.spec), state)
     return state
 
 

@@ -19,13 +19,11 @@ import pytest
 from conftest import GRID_ETAS, GRID_PARTIES, GRID_SCHEMES, explicit_evolution, without_c1_plate
 from heraldnet.analytic import (
     asymptotic_chord,
-    chord_length,
     closed_h_eff,
     closed_p_hr,
     closed_p_suc,
     crossover_margin,
     crossover_radius,
-    eta_of_length,
     exact_h_eff,
     exact_p_hr,
     lhv_threshold,
@@ -35,7 +33,7 @@ from heraldnet.cli import main
 from heraldnet.fock import norm_squared
 from heraldnet.heralding import analyze_patterns, compute_metrics
 from heraldnet.optics import is_isometry
-from heraldnet.schemes import build_bc, build_sc, build_scheme
+from heraldnet.schemes import NetworkGeometry, build_bc, build_sc, build_scheme, eta_for_geometry
 
 ALPHA = 0.023
 REL_TOL = 1e-9
@@ -293,8 +291,9 @@ class TestCriterion4:
         checks.append(("crossing count 13", count == 13, f"got {count}"))
         for radius in (1.0, 10.0, 50.0):
             for n, ring_wins in ((12, False), (13, True)):
-                eta_central = eta_of_length(ALPHA, radius)
-                eta_ring = eta_of_length(ALPHA, chord_length(radius, n))
+                geometry = NetworkGeometry(n, radius, ALPHA)
+                eta_central = eta_for_geometry("sc", geometry)
+                eta_ring = eta_for_geometry("sd", geometry)
                 ring = closed_p_suc("sd", n, eta_ring)
                 central = closed_p_suc("sc", n, eta_central)
                 ok = (ring > central) == ring_wins
@@ -333,8 +332,9 @@ class TestCriterion5:
         r8 = radii[8]
         ordering = []
         for radius, ring_better in ((0.5 * r8, True), (2.0 * r8, False)):
-            eta_central = eta_of_length(ALPHA, radius)
-            eta_ring = eta_of_length(ALPHA, chord_length(radius, 8))
+            geometry = NetworkGeometry(8, radius, ALPHA)
+            eta_central = eta_for_geometry("sc", geometry)
+            eta_ring = eta_for_geometry("sd", geometry)
             ring = closed_h_eff("sd", 8, eta_ring)
             central = closed_h_eff("sc", 8, eta_central)
             ordering.append((ring > central) == ring_better)
@@ -344,8 +344,9 @@ class TestCriterion5:
         # and must not flip where no positive root exists
         no_flip = []
         for radius in (1.0, 5.0, 20.0):
-            eta_central = eta_of_length(ALPHA, radius)
-            eta_ring = eta_of_length(ALPHA, chord_length(radius, 4))
+            geometry = NetworkGeometry(4, radius, ALPHA)
+            eta_central = eta_for_geometry("sc", geometry)
+            eta_ring = eta_for_geometry("sd", geometry)
             no_flip.append(
                 closed_h_eff("sd", 4, eta_ring) <= closed_h_eff("sc", 4, eta_central)
             )

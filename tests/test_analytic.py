@@ -19,7 +19,6 @@ from heraldnet.analytic import (
     closed_p_suc,
     crossover_margin,
     crossover_radius,
-    eta_of_length,
     exact_h_eff,
     exact_p_hr,
     lhv_threshold,
@@ -27,7 +26,7 @@ from heraldnet.analytic import (
     sc_p_hr_uncorrected,
 )
 from heraldnet.heralding import UndefinedMetricError
-from heraldnet.schemes import SCHEMES
+from heraldnet.schemes import SCHEMES, NetworkGeometry, eta_for_geometry
 
 ALPHA = 0.023
 
@@ -125,8 +124,6 @@ class TestValidation:
             lambda: crossover_radius(7, tol=math.inf),
             lambda: asymptotic_chord(math.nan),
             lambda: asymptotic_chord(math.inf),
-            lambda: eta_of_length(math.nan, 1.0),
-            lambda: eta_of_length(0.023, math.inf),
         ],
     )
     def test_rejects_bad_arguments(self, call):
@@ -161,10 +158,14 @@ class TestThresholds:
 
 class TestGeometry:
     def test_transmission_of_length(self):
-        assert eta_of_length(ALPHA, 0.0) == 1.0
-        assert eta_of_length(ALPHA, 100.0) == pytest.approx(math.exp(-2.3), abs=1e-15)
+        def eta(length_km):
+            # a central link is as long as the radius
+            return eta_for_geometry("bc", NetworkGeometry(2, length_km, ALPHA))
+
+        assert eta(0.0) == 1.0
+        assert eta(100.0) == pytest.approx(math.exp(-2.3), abs=1e-15)
         # one kilometre of standard fibre keeps ~95.5% of the photons
-        assert eta_of_length(ALPHA, 1.0) ** 2 == pytest.approx(0.955, abs=1e-3)
+        assert eta(1.0) ** 2 == pytest.approx(0.955, abs=1e-3)
 
     def test_chord_of_square(self):
         assert chord_length(10.0, 4) == pytest.approx(10.0 * math.sqrt(2.0), abs=1e-12)
@@ -254,8 +255,9 @@ class TestSchemeCrossing:
     def test_success_rate_ordering_straddles_the_count(self):
         radius = 10.0
         for n, ring_wins in ((12, False), (13, True)):
-            eta_central = eta_of_length(ALPHA, radius)
-            eta_ring = eta_of_length(ALPHA, chord_length(radius, n))
+            geometry = NetworkGeometry(n, radius, ALPHA)
+            eta_central = eta_for_geometry("sc", geometry)
+            eta_ring = eta_for_geometry("sd", geometry)
             ring = closed_p_suc("sd", n, eta_ring)
             central = closed_p_suc("sc", n, eta_central)
             assert (ring > central) == ring_wins

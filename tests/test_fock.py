@@ -138,6 +138,15 @@ def test_overlap_runs_over_the_smaller_map():
     assert seen == [1, 3]
 
 
+def test_overlap_that_cancels_to_residue_is_an_exact_zero():
+    # 3 * 0.1 rounds to 0.30000000000000004, so the two terms leave 5.6e-17;
+    # a sum that small against terms of 0.3 is residue, not an amplitude
+    assert 3 * 0.1 - 0.3 != 0
+    assert overlap({1: 3 + 0j, 2: 1 + 0j}, {1: 0.1 + 0j, 2: -0.3 + 0j}, lambda key: 1.0) == 0j
+    # a tiny sum of terms that do not cancel is kept
+    assert overlap({1: 1 + 0j, 2: 1 + 0j}, {1: 1e-30 + 0j, 2: 1e-30 + 0j}, lambda key: 1.0) == 2e-30
+
+
 def test_pack_and_occupations_round_trip():
     key = pack({3: 1, 1: 2, 5: 0})
     assert key == (2 << 4) + (1 << 12)

@@ -21,6 +21,7 @@ from heraldnet.optics import (
     apply,
     bs_5050,
     compose_maps,
+    half_wave_plate,
     is_isometry,
     loss_channel,
     merge_maps,
@@ -150,6 +151,22 @@ def test_phase_plate_pi_flips_sign():
     c = pairs["c1"][0]
     out = apply(phase_plate(c, math.pi), state_from_creation_product(r, [c]))
     assert amplitudes(out)[((c.index, 1),)] == pytest.approx(-1.0)
+
+
+def test_half_wave_plate_turns_diagonal_into_canonical():
+    r, pairs, _ = make_registry()
+    h, v = pairs["d1"]
+    plate = half_wave_plate((h, v))
+    assert is_isometry(plate)
+    for mode in (h, v):
+        # its own inverse: twice through it, a photon comes back where it was
+        once = apply(plate, state_from_creation_product(r, [mode]))
+        assert amplitudes(apply(plate, once)) == pytest.approx({((mode.index, 1),): 1.0})
+    for sign, slot in ((1.0, h), (-1.0, v)):
+        # a D photon lands in the H slot, an A photon in the V slot
+        diagonal = superpose([(R, state_from_creation_product(r, [h])),
+                              (sign * R, state_from_creation_product(r, [v]))])
+        assert amplitudes(apply(plate, diagonal)) == pytest.approx({((slot.index, 1),): 1.0})
 
 
 def test_merge_maps_rejects_overlapping_inputs():

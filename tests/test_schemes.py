@@ -19,7 +19,6 @@ from heraldnet.schemes import (
     SCHEMES,
     GeometryError,
     NetworkGeometry,
-    bell_initial_state,
     build_bc,
     build_sc,
     build_scheme,
@@ -86,6 +85,8 @@ class TestGeometry:
             {"n_parties": 1, "radius_km": 5.0},
             {"n_parties": 3, "radius_km": -1.0},
             {"n_parties": 3, "radius_km": 5.0, "alpha": -0.01},
+            {"n_parties": 3, "radius_km": 5.0, "alpha": math.nan},
+            {"n_parties": 3, "radius_km": math.inf},
         ],
     )
     def test_invalid_geometry(self, kwargs):
@@ -120,8 +121,7 @@ class TestBuilderValidation:
 class TestInitialStates:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_bell_state_support(self, n):
-        build = build_bc(n, 1.0)
-        state = bell_initial_state(build.spec.registry, n)
+        state = build_bc(n, 1.0).state
         # one term per H/V word across the n pairs, uniform weight
         assert len(state.terms) == 2**n
         for amplitude in state.terms.values():
@@ -161,12 +161,6 @@ class TestInitialStates:
         assert len(build.parties) == n
         bits = [(k, a.real.hex(), a.imag.hex()) for k, a in build.state.amplitudes.items()]
         assert bits == [(k, a.real.hex(), a.imag.hex()) for k, a in reference.amplitudes.items()]
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_bc_source_is_bell_product(self, n):
-        build = build_bc(n, 1.0)
-        overlap = inner_product(build.state, bell_initial_state(build.spec.registry, n))
-        assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
 class TestStructure:
