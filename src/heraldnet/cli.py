@@ -39,31 +39,34 @@ from .schemes import (DEFAULT_ALPHA, SCHEMES, NetworkGeometry, build_scheme, che
 DEFAULT_SWEEP_PARTIES = (4, 7, 13, 20)
 DEFAULT_RADIUS_GRID = "0:50:0.5"
 
+# The most rows a sweep or crossover table, or a party range, may hold.  A
+# million sweep rows take about 13 s and 340 MB as CSV, 50 s and 600 MB as JSON.
+MAX_ROWS = 1_000_000
+
 
 class CliError(Exception):
     """User-facing error: message printed to stderr, exit code 1."""
 
 
 def parse_parties(text: str) -> list[int]:
-    """Accept a single count "4" or an inclusive range "2..6"."""
+    """Accept a single count "4" or an inclusive range "2..6" of at most
+    ``MAX_ROWS`` counts."""
     try:
-        if ".." in text:
-            lo_text, hi_text = text.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if lo > hi:
-                raise ValueError
-            values = list(range(lo, hi + 1))
-        else:
-            values = [int(text)]
+        lo_text, hi_text = text.split("..", 1) if ".." in text else (text, text)
+        lo, hi = int(lo_text), int(hi_text)
+        if lo > hi:
+            raise ValueError
     except ValueError:
         raise CliError(f"cannot parse party count {text!r}; use INT or MIN..MAX") from None
-    if any(v < 2 for v in values):
+    if lo < 2:
         raise CliError("party counts must be at least 2")
-    return values
+    check_rows(hi - lo + 1)
+    return list(range(lo, hi + 1))
 
 
 def parse_radius_grid(text: str) -> list[float]:
-    """Parse START:STOP:STEP into an ascending inclusive grid."""
+    """Parse START:STOP:STEP into an ascending inclusive grid of at most
+    ``MAX_ROWS`` radii."""
     parts = text.split(":")
     if len(parts) != 3:
         raise CliError(f"cannot parse radius grid {text!r}; use START:STOP:STEP")
@@ -75,8 +78,16 @@ def parse_radius_grid(text: str) -> list[float]:
         raise CliError("radius grid values must be finite")
     if step <= 0 or stop < start or start < 0:
         raise CliError("radius grid needs start >= 0, stop >= start and step > 0")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step + 1e-9  # infinite for a step far below the span
+    count = math.floor(steps) + 1 if math.isfinite(steps) else steps
+    check_rows(count)
     return [start + i * step for i in range(count)]
+
+
+def check_rows(count: float) -> None:
+    """Refuse a table of more than ``MAX_ROWS`` rows before it is built."""
+    if count > MAX_ROWS:
+        raise CliError(f"{count:.4g} rows requested; a table holds at most {MAX_ROWS:,}")
 
 
 def resolve_schemes(choice: str) -> list[str]:
@@ -220,8 +231,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     parties = parse_parties(args.parties)
     schemes = resolve_schemes(args.scheme)
     for scheme in schemes:
-        for n in parties:
-            check_oracle_size(scheme, n)
+        check_oracle_size(scheme, max(parties))
 
     rows = []
     for scheme in schemes:
@@ -264,7 +274,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     parties = list(DEFAULT_SWEEP_PARTIES) if args.parties is None else parse_parties(args.parties)
     grid = parse_radius_grid(args.radius_grid)
-    records = sweep_vs_radius(resolve_schemes(args.scheme), parties, grid, args.alpha)
+    schemes = resolve_schemes(args.scheme)
+    check_rows(len(schemes) * len(parties) * len(grid))
+    records = sweep_vs_radius(schemes, parties, grid, args.alpha)
     fmt_choice = args.format or "csv"
 
     def render(stream: TextIO) -> None:

@@ -27,7 +27,7 @@ from .analytic import (
     lhv_threshold,
     sc_p_hr_uncorrected,
 )
-from .heralding import check_oracle_size, compute_metrics
+from .heralding import Metrics, check_oracle_size, compute_metrics
 from .schemes import DEFAULT_ALPHA, SCHEMES, NetworkGeometry, build_scheme, eta_for_geometry
 from .schemes import _check_scheme
 
@@ -179,16 +179,14 @@ def crossover_curve(
     return points
 
 
-def _oracle_case(args: tuple[str, int, float]) -> tuple[str, int, float, float, float]:
-    scheme, n, eta = args
-    metrics = compute_metrics(build_scheme(scheme, n, eta))
-    return scheme, n, eta, metrics.p_suc, metrics.p_hr
+def _oracle_case(args: tuple[str, int, float]) -> Metrics:
+    return compute_metrics(build_scheme(*args))
 
 
 def oracle_metrics_map(
     cases: Sequence[tuple[str, int, float]], workers: int | None = None
-) -> dict[tuple[str, int, float], tuple[float, float]]:
-    """(scheme, n, eta) -> (p_suc, p_hr) by brute-force simulation."""
+) -> dict[tuple[str, int, float], Metrics]:
+    """(scheme, n, eta) -> Metrics by brute-force simulation."""
     jobs = sorted(set(cases))
     count = pool_size(workers or 1, len(jobs), os.cpu_count())
     if count == 1:
@@ -196,7 +194,7 @@ def oracle_metrics_map(
     else:
         with ProcessPoolExecutor(max_workers=count) as pool:
             results = list(pool.map(_oracle_case, jobs))
-    return {(s, n, e): (ps, ph) for s, n, e, ps, ph in results}
+    return dict(zip(jobs, results))
 
 
 def _exact_form_note(scheme: str, metric: str, n: int, eta: float, simulated: float) -> str:
@@ -243,8 +241,7 @@ def verify_suite(
 
     rows = []
     for scheme, n, eta in cases:
-        p_suc, p_hr = simulated[(scheme, n, eta)]
-        h_eff = p_suc / p_hr if p_hr > 0 else math.nan
+        metrics = simulated[(scheme, n, eta)]
         case_id = f"{scheme}-n{n}-eta{fmt(eta)}"
         if scheme == "sc" and sc_phr_uncorrected:
             phr_ref = sc_p_hr_uncorrected(n, eta)
@@ -252,26 +249,16 @@ def verify_suite(
         else:
             phr_ref = closed_p_hr(scheme, n, eta)
             phr_note = ""
+        # Metrics.h_eff raises for a zero herald probability, as simulate does.
         for metric, analytic, value in (
-            ("p_suc", closed_p_suc(scheme, n, eta), p_suc),
-            ("p_hr", phr_ref, p_hr),
-            ("h_eff", closed_h_eff(scheme, n, eta), h_eff),
+            ("p_suc", closed_p_suc(scheme, n, eta), metrics.p_suc),
+            ("p_hr", phr_ref, metrics.p_hr),
+            ("h_eff", closed_h_eff(scheme, n, eta), metrics.h_eff),
         ):
             note = phr_note if metric == "p_hr" and phr_note else _exact_form_note(
                 scheme, metric, n, eta, value
             )
-            rows.append(
-                VerificationRow(
-                    case_id=case_id,
-                    scheme=scheme,
-                    n_parties=n,
-                    eta=eta,
-                    metric=metric,
-                    analytic=analytic,
-                    simulated=value,
-                    note=note,
-                )
-            )
+            rows.append(VerificationRow(case_id, scheme, n, eta, metric, analytic, value, note))
     return rows
 
 

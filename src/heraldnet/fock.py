@@ -17,9 +17,9 @@ Conventions:
   ``|a|^2 * k_1! * ... * k_m!``.
 * A sum whose magnitude is at most ``CANCEL_TOL`` times the sum of its
   parts' magnitudes is rounding residue of a cancellation and is stored as an
-  exact zero (:func:`cancel_add`, :func:`overlap`); states drop exact zeros
-  on construction and nothing else, so an amplitude is never lost for being
-  small.
+  exact zero (:func:`cancel_residue`, used by :func:`cancel_add` and
+  :func:`inner_product`); states drop exact zeros on construction and
+  nothing else, so an amplitude is never lost for being small.
 * A monomial holds at most ``MAX_OCCUPATION`` photons, so no occupation
   carries into the next mode's bits: photons enter only through
   :func:`with_photons` and :func:`product`, which check the total, and
@@ -134,10 +134,15 @@ class PhotonicState:
         return {tuple(occupations(key)): a for key, a in self.amplitudes.items()}
 
 
+def cancel_residue(total: complex, scale: float) -> complex:
+    """``total``, or an exact zero where it is rounding residue: at most
+    ``CANCEL_TOL`` times ``scale``, the sum of its parts' magnitudes."""
+    return total if abs(total) > CANCEL_TOL * scale else 0j
+
+
 def cancel_add(a: complex, b: complex) -> complex:
     """``a + b``, or an exact zero where the two cancel to rounding residue."""
-    total = a + b
-    return total if abs(total) > CANCEL_TOL * (abs(a) + abs(b)) else 0j
+    return cancel_residue(a + b, abs(a) + abs(b))
 
 
 def superpose(pairs: Iterable[tuple[complex, PhotonicState]]) -> PhotonicState:
@@ -266,24 +271,20 @@ def norm_squared(state: PhotonicState) -> float:
 
 
 def inner_product(left: PhotonicState, right: PhotonicState) -> complex:
-    """Hermitian form <left|right>, conjugate-linear in ``left``."""
+    """Hermitian form <left|right>, conjugate-linear in ``left``: the sum of
+    conj(left[k]) * right[k] * prod(occupation!) over the smaller state's
+    keys in its order (``left``'s on a tie), settled by
+    :func:`cancel_residue` against the sum of the terms' magnitudes."""
     if left.registry is not right.registry:
         raise RegistryError("inner product across different registries")
-    return overlap(left.amplitudes, right.amplitudes, _monomial_weight)
-
-
-def overlap(left: Mapping[int, complex], right: Mapping[int, complex],
-            weight: Callable[[int], float]) -> complex:
-    """sum conj(left[k]) * right[k] * weight(k), over the smaller map (``left``
-    on a tie); a sum that cancels to rounding residue, by :func:`cancel_add`'s
-    rule against the sum of the terms' magnitudes, is an exact zero."""
     if len(right) < len(left):
-        return overlap(right, left, weight).conjugate()
+        return inner_product(right, left).conjugate()
     acc, scale = 0j, 0.0
-    for key, a in left.items():
-        b = right.get(key)
+    others = right.amplitudes
+    for key, a in left.amplitudes.items():
+        b = others.get(key)
         if b is not None:
-            term = a.conjugate() * b * weight(key)
+            term = a.conjugate() * b * _monomial_weight(key)
             acc += term
             scale += abs(term)
-    return acc if abs(acc) > CANCEL_TOL * scale else 0j
+    return cancel_residue(acc, scale)

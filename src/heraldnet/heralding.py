@@ -24,9 +24,9 @@ from .fock import (
     MAX_OCCUPATION,
     PhotonicState,
     _monomial_weight,
+    cancel_residue,
     inner_product,  # noqa: F401 - benchmarks/run.py --trace 1 times heralding.inner_product
     norm_squared,  # noqa: F401 - benchmarks/run.py --trace 1 times heralding.norm_squared
-    overlap,
     pack,
     photons,
     product,
@@ -114,7 +114,7 @@ class PatternOutcome:
 
     ``probability`` is the chance of seeing this pattern; ``ghz_amplitudes``
     are the overlaps of the conditional state (environment in vacuum) with
-    the two reference product strings; ``environment_histogram`` gives the
+    the two GHZ branches; ``environment_histogram`` gives the
     unnormalized probability of each total environment photon number, so its
     values sum to ``probability``.
     """
@@ -140,7 +140,8 @@ class PatternOutcome:
         """Relative phase between the two GHZ branches, in [0, 2 pi).
 
         A branch is absent only when its amplitude is an exact zero, which
-        is what :func:`heraldnet.fock.overlap` gives for a cancellation.
+        is what :func:`heraldnet.fock.cancel_residue` gives for a
+        cancellation.
         """
         x, y = self.ghz_amplitudes
         if not x or not y:
@@ -180,47 +181,63 @@ class Metrics:
 
 
 def analyze_patterns(build: SchemeBuild) -> list[PatternOutcome]:
-    """One pass over the evolved state, bucketed by detector signature.  A
-    heralded key's weight and environment count are its part's off the
-    detectors, found once per part; GHZ overlaps are lookups in the bucket,
-    summed in :func:`heraldnet.fock.inner_product`'s order."""
+    """One walk over the ready state, accumulated per click signature (the
+    key's detector bits) in the state's order.  A heralded key's weight,
+    environment photon count and GHZ branch amplitudes are those of its part
+    off the detectors, found once per part; each GHZ amplitude sums
+    conj(branch) * amplitude * weight as :func:`heraldnet.fock.inner_product`
+    does, and a sum that cancels to residue is an exact zero."""
     spec = build.spec
-    ready = detection_ready_state(build)
     env_mask = pack(dict.fromkeys((m.index for m in spec.environment_modes), MAX_OCCUPATION))
-
-    # A key's bits in the detector modes are its click signature, the rest its part.
     off_detectors = ~sum(station_masks(spec))
-    buckets: dict[int, dict[int, complex]] = {}
-    parts: dict[int, tuple[float, int]] = {}  # (weight, environment photons) per part
-    for key, amp in ready.amplitudes.items():
+    slots = [(BITS * h.index, BITS * v.index) for h, v in spec.retained_pairs]
+    (xh, xv), (yh, yv) = spec.ghz_qubits
+
+    def branches(part: int) -> tuple[tuple[int, complex], ...]:
+        # Each nonzero GHZ branch amplitude of ``part`` with its slot in the
+        # sums: a product of one qubit per retained pair, in pair order, on a
+        # part that holds one photon per pair and nothing else.
+        if photons(part) != len(slots):
+            return ()
+        x = y = 1 + 0j
+        for h, v in slots:
+            if part >> h & MAX_OCCUPATION:
+                x, y = x * xh, y * yh
+            elif part >> v & MAX_OCCUPATION:
+                x, y = x * xv, y * yv
+            else:
+                return ()
+        return tuple((i, g) for i, g in ((2, x), (4, y)) if g)
+
+    parts: dict[int, tuple[float, int, tuple[tuple[int, complex], ...]]] = {}
+    # Per signature: probability, histogram, and each GHZ amplitude with its terms' magnitudes.
+    sums: dict[int, list] = {}
+    for key, amp in detection_ready_state(build).amplitudes.items():
         part = key & off_detectors
-        if part not in parts:
-            parts[part] = (_monomial_weight(part), photons(part & env_mask))
-        buckets.setdefault(key ^ part, {})[key] = amp
+        facts = parts.get(part)
+        if facts is None:
+            facts = parts[part] = (_monomial_weight(part), photons(part & env_mask), branches(part))
+        w, env_total, ghz = facts
+        acc = sums.get(key ^ part)
+        if acc is None:
+            acc = sums[key ^ part] = [0.0, {}, 0j, 0.0, 0j, 0.0]
+        weight = abs(amp) ** 2 * w
+        acc[0] += weight
+        acc[1][env_total] = acc[1].get(env_total, 0.0) + weight
+        for i, g in ghz:
+            term = g.conjugate() * amp * w
+            acc[i] += term
+            acc[i + 1] += abs(term)
 
     letters = BASIS_LETTERS[spec.detection_basis]
     outcomes = []
     for pattern in enumerate_patterns(spec.n_parties, spec.detection_basis):
         clicks = pack({station[letters.index(c)].index: 1
                        for station, c in zip(spec.detector_stations, pattern)})
-        bucket = buckets.get(clicks, {})
-        amplitudes = tuple(overlap({k + clicks: a for k, a in s.amplitudes.items()}, bucket,
-                                   lambda key: parts[key & off_detectors][0]) for s in spec.ghz_pair)
-        weights = []
-        histogram: dict[int, float] = {}
-        for key, amp in bucket.items():
-            w, env_total = parts[key & off_detectors]
-            weights.append(abs(amp) ** 2 * w)
-            histogram[env_total] = histogram.get(env_total, 0.0) + weights[-1]
-
-        outcomes.append(
-            PatternOutcome(
-                pattern=pattern,
-                probability=sum(weights),
-                ghz_amplitudes=amplitudes,
-                environment_histogram=tuple(sorted(histogram.items())),
-            )
-        )
+        probability, histogram, x, x_scale, y, y_scale = sums.get(clicks, (0.0, {}, 0j, 0, 0j, 0))
+        outcomes.append(PatternOutcome(pattern, probability,
+                                       (cancel_residue(x, x_scale), cancel_residue(y, y_scale)),
+                                       tuple(sorted(histogram.items()))))
     return outcomes
 
 

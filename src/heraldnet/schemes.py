@@ -38,7 +38,6 @@ from .fock import (
     Mode,
     ModeRegistry,
     PhotonicState,
-    pack,
     product,
     state_from_creation_product,
     superpose,
@@ -110,10 +109,11 @@ class SchemeSpec:
     ``detector_stations`` and ``retained_pairs`` are per-party (H, V) mode
     pairs; ``detection_basis`` (``"HV"`` or ``"DA"``) names the letters of
     each station's H and V slot, since the circuit itself ends in the
-    measurement basis; ``ghz_pair`` holds
-    the two orthonormal retained states whose balanced superposition is the
-    target GHZ state; ``feedforward_rule`` predicts the correcting phase for
-    a herald outcome tuple.
+    measurement basis.  The target GHZ state is the balanced superposition
+    of two orthonormal branches, each a product of one identical qubit per
+    retained pair; ``ghz_qubits`` holds that qubit's (H, V) amplitudes in
+    each branch.  ``feedforward_rule`` predicts the correcting phase for a
+    herald outcome tuple.
     """
 
     scheme: str
@@ -124,7 +124,7 @@ class SchemeSpec:
     retained_pairs: tuple[tuple[Mode, Mode], ...]
     environment_modes: tuple[Mode, ...]
     detection_basis: str
-    ghz_pair: tuple[PhotonicState, PhotonicState]
+    ghz_qubits: tuple[tuple[complex, complex], tuple[complex, complex]]
     feedforward_rule: Callable[[tuple[str, ...]], float]
 
 
@@ -188,25 +188,11 @@ def _photon_pairs(registry: ModeRegistry, n: int) -> tuple[PhotonicState, ...]:
 
 
 # ----------------------------------------------------------------------
-# Shared GHZ bookkeeping
+# Feed-forward rules
 # ----------------------------------------------------------------------
 
-def _diagonal_string(pairs: list[tuple[Mode, Mode]], sign: float) -> PhotonicState:
-    """Normalized product over parties of (H + sign*V)/sqrt(2) on given pairs."""
-    registry = pairs[0][0].registry
-    r = 1.0 / math.sqrt(2.0)
-    return product([PhotonicState(registry, {pack({h.index: 1}): r, pack({v.index: 1}): sign * r})
-                    for h, v in pairs])
-
-
-def _canonical_string(pairs: list[tuple[Mode, Mode]], which: str) -> PhotonicState:
-    registry = pairs[0][0].registry
-    modes = [h if which == "H" else v for h, v in pairs]
-    return state_from_creation_product(registry, modes)
-
-
 def _central_feedforward(n: int) -> Callable[[tuple[str, ...]], float]:
-    # Phase between the two diagonal GHZ strings: pi * (V-count + n) mod 2,
+    # Phase between the two diagonal GHZ branches: pi * (V-count + n) mod 2,
     # fixed by the splitter sign conventions above (checked against the
     # simulated amplitudes in the tests, not assumed).
     def rule(pattern: tuple[str, ...]) -> float:
@@ -260,6 +246,7 @@ def _central(scheme: str, n: int, eta: float, parties: tuple[PhotonicState, ...]
     c1_plate = merge_maps([phase_plate(c[0][0], math.pi), phase_plate(c[0][1], math.pi)])
     # Party i's D output feeds station i, its A output feeds station i+1.
     splitters = merge_maps([pbs_da(c[i], d[i], d[_nxt(i + 1, n) - 1]) for i in range(n)])
+    r = 1.0 / math.sqrt(2.0)
     spec = SchemeSpec(
         scheme=scheme,
         n_parties=n,
@@ -269,7 +256,8 @@ def _central(scheme: str, n: int, eta: float, parties: tuple[PhotonicState, ...]
         retained_pairs=tuple(b),
         environment_modes=_flatten(f),
         detection_basis="HV",
-        ghz_pair=(_diagonal_string(b, +1.0), _diagonal_string(b, -1.0)),
+        # (H + V)/sqrt(2) and (H - V)/sqrt(2) on every pair
+        ghz_qubits=((complex(r), complex(r)), (complex(r), complex(-r))),
         feedforward_rule=_central_feedforward(n),
     )
     stages = (*source_stages, c1_plate, _loss_stage(c, f, eta), splitters)
@@ -307,7 +295,7 @@ def build_sd(n: int, eta: float) -> SchemeBuild:
         retained_pairs=tuple(e),
         environment_modes=_flatten(f) + _flatten(g),
         detection_basis="DA",
-        ghz_pair=(_canonical_string(e, "H"), _canonical_string(e, "V")),
+        ghz_qubits=((1 + 0j, 0j), (0j, 1 + 0j)),  # all H and all V
         feedforward_rule=_decentral_feedforward(n),
     )
     return SchemeBuild(_photon_pairs(registry, n), stages, spec)
@@ -316,21 +304,14 @@ def build_sd(n: int, eta: float) -> SchemeBuild:
 def build_scheme(scheme: str, n: int, eta: float) -> SchemeBuild:
     """Dispatch helper used by the experiment drivers."""
     _check_scheme(scheme)
-    if scheme == "bc":
-        return build_bc(n, eta)
-    if scheme == "sc":
-        return build_sc(n, eta)
-    return build_sd(n, eta)
+    return {"bc": build_bc, "sc": build_sc, "sd": build_sd}[scheme](n, eta)
 
 
 def _loss_stage(
     paths: list[tuple[Mode, Mode]], envs: list[tuple[Mode, Mode]], eta: float
 ) -> LinearMap:
-    maps = []
-    for (ph, pv), (eh, ev) in zip(paths, envs):
-        maps.append(loss_channel(ph, eh, eta))
-        maps.append(loss_channel(pv, ev, eta))
-    return merge_maps(maps)
+    return merge_maps([loss_channel(p, e, eta) for pair, env in zip(paths, envs)
+                       for p, e in zip(pair, env)])
 
 
 def _flatten(pairs: list[tuple[Mode, Mode]]) -> tuple[Mode, ...]:

@@ -20,9 +20,9 @@ from heraldnet.fock import (
     PhotonicState,
     _monomial_weight,
     inner_product,
-    norm_squared,
     pack,
     photons,
+    product,
     with_photons,
 )
 from heraldnet.heralding import (
@@ -74,11 +74,23 @@ def heralded_part(build, state):
     }
 
 
+def ghz_strings(spec):
+    """The two GHZ branches as states: a product over the retained pairs of
+    each branch's qubit, ``spec.ghz_qubits``."""
+    def qubit(pair, amplitudes):
+        return PhotonicState(spec.registry, {pack({m.index: 1}): a for m, a in zip(pair, amplitudes)})
+
+    return tuple(product([qubit(pair, branch) for pair in spec.retained_pairs])
+                 for branch in spec.ghz_qubits)
+
+
 def reference_outcomes(build):
     """Every click pattern's outcome from the ready state, the straightforward
     way: each pattern's keys as a ``PhotonicState``, overlaps with the GHZ
-    strings plus the clicks by ``inner_product``, the probability by
-    ``norm_squared`` and the histogram in key order."""
+    strings plus the clicks by ``inner_product``, and the probability and
+    the histogram in key order.  Each string is taken on the pattern's keys
+    only, in their order, so that ``inner_product`` walks them as the
+    analysis does."""
     spec = build.spec
     detector_mask = sum(station_masks(spec))
     env_mask = pack(dict.fromkeys((m.index for m in spec.environment_modes), MAX_OCCUPATION))
@@ -86,18 +98,24 @@ def reference_outcomes(build):
     for key, amp in detection_ready_state(build).amplitudes.items():
         buckets.setdefault(key & detector_mask, {})[key] = amp
     letters = BASIS_LETTERS[spec.detection_basis]
+    strings = ghz_strings(spec)
     outcomes = []
     for pattern in enumerate_patterns(spec.n_parties, spec.detection_basis):
         clicks = {station[letters.index(c)].index: 1
                   for station, c in zip(spec.detector_stations, pattern)}
         conditional = PhotonicState(spec.registry, buckets.get(pack(clicks), {}))
-        amplitudes = tuple(inner_product(with_photons(s, clicks), conditional)
-                           for s in spec.ghz_pair)
-        histogram = {}
+        amplitudes = []
+        for string in strings:
+            shifted = with_photons(string, clicks).amplitudes
+            on_keys = {k: shifted[k] for k in conditional.amplitudes if k in shifted}
+            amplitudes.append(inner_product(PhotonicState(spec.registry, on_keys), conditional))
+        probability, histogram = 0.0, {}
         for key, amp in conditional.amplitudes.items():
+            weight = abs(amp) ** 2 * _monomial_weight(key)
+            probability += weight
             env = photons(key & env_mask)
-            histogram[env] = histogram.get(env, 0.0) + abs(amp) ** 2 * _monomial_weight(key)
-        outcomes.append(PatternOutcome(pattern, norm_squared(conditional), amplitudes,
+            histogram[env] = histogram.get(env, 0.0) + weight
+        outcomes.append(PatternOutcome(pattern, probability, tuple(amplitudes),
                                        tuple(sorted(histogram.items()))))
     return outcomes
 

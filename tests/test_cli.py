@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -378,6 +379,36 @@ class TestErrorExits:
         capsys.readouterr()
 
 
+class TestRowCap:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--parties", "2..1000000000000", "--eta", "0.9"],
+        ["sweep", "--parties", "2..1000000000000"],
+        ["crossover", "--parties", "2..1000000000000"],
+        ["sweep", "--radius-grid", "0:1e12:1"],
+    ])
+    def test_inputs_past_the_cap_exit_before_any_list(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"at most {cli.MAX_ROWS:,}" in err
+
+    def test_sweep_rows_count_schemes_parties_and_radii(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_ROWS", 6)
+        code, out, _ = run(capsys, ["sweep", "--parties", "3..4", "--radius-grid", "0:0:1"])
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 6
+        code, out, err = run(capsys, ["sweep", "--parties", "3..4", "--radius-grid", "0:2:2"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: 12 rows requested; a table holds at most 6\n"
+        code, _, err = run(capsys, ["crossover", "--parties", "2..8"])
+        assert code == 1
+        assert err == "error: 7 rows requested; a table holds at most 6\n"
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "argv",
@@ -437,6 +468,20 @@ class TestVerify:
         payload = json.loads(out)
         failing = [r["metric"] for r in payload["rows"] if not r["passed"]]
         assert failing == ["p_hr", "h_eff"]
+
+    def test_no_herald_fails_as_simulate_does(self, capsys, tmp_path):
+        # eta^2 underflows, so nothing heralds and h_eff is undefined: verify
+        # refuses the case instead of writing NaN into its report
+        target = tmp_path / "verify.json"
+        code, out, err = run(capsys, ["verify", "--scheme", "sd", "--parties", "2",
+                                      "--eta", "1e-100", "--out", str(target)])
+        assert code == 1
+        assert out == ""
+        assert err == "error: heralding efficiency undefined: herald probability is zero\n"
+        assert not target.exists()
+        _, _, simulated = run(capsys, ["simulate", "--scheme", "sd", "--parties", "2",
+                                       "--eta", "1e-100"])
+        assert simulated == err
 
     def test_uncorrected_flag_changes_reference(self, capsys):
         base = ["verify", "--scheme", "sc", "--parties", "2", "--eta", "0.9"]

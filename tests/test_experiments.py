@@ -226,11 +226,11 @@ class TestOracleHelpers:
     def test_oracle_metrics_map_values(self):
         cases = [("bc", 2, 1.0), ("bc", 2, 0.9)]
         table = oracle_metrics_map(cases, workers=1)
-        p_suc, p_hr = table[("bc", 2, 1.0)]
-        assert p_suc == pytest.approx(0.5, abs=1e-12)
-        assert p_hr == pytest.approx(0.5, abs=1e-12)
-        lossy_suc, lossy_hr = table[("bc", 2, 0.9)]
-        assert lossy_suc == pytest.approx(lossy_hr, abs=1e-12)
+        lossless, lossy = table[("bc", 2, 1.0)], table[("bc", 2, 0.9)]
+        assert lossless.p_suc == pytest.approx(0.5, abs=1e-12)
+        assert lossless.p_hr == pytest.approx(0.5, abs=1e-12)
+        assert lossy.p_suc == pytest.approx(lossy.p_hr, abs=1e-12)
+        assert (lossy.scheme, lossy.n_parties, lossy.eta) == ("bc", 2, 0.9)
 
     def test_real_pool_writes_the_same_bytes_as_one_worker(self, monkeypatch):
         sizes = []

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from heraldnet.fock import (
     MAX_OCCUPATION,
     ModeRegistry,
+    PhotonicState,
     RegistryError,
     _monomial_weight,
+    cancel_residue,
     inner_product,
     norm_squared,
     occupations,
-    overlap,
     pack,
     photons,
     product,
@@ -118,33 +119,33 @@ def test_inner_product_of_orthogonal_monomials_vanishes(registry):
     assert inner_product(s, t) == 0
 
 
-def test_overlap_runs_over_the_smaller_map():
-    # the shared keys are visited in the smaller map's order (the left one's
-    # on a tie), and a right-side walk is conjugated back
-    left, right = {1: 1 + 0j, 2: 2j, 3: 1 + 0j}, {3: 1j, 1: 2 + 0j}
-    seen = []
-
-    def weight(key):
-        seen.append(key)
-        return float(key)
-
-    assert overlap(left, right, weight) == 2 + 3j
-    assert seen == [3, 1]
-    seen.clear()
-    assert overlap(right, left, weight) == 2 - 3j
-    assert seen == [3, 1]
-    seen.clear()
-    assert overlap({1: 1j, 3: 1 + 0j}, right, weight) == 1j
-    assert seen == [1, 3]
+def test_inner_product_runs_over_the_smaller_state(registry):
+    # the shared keys are summed in the smaller state's order (the left one's
+    # on a tie), and a right-side walk is conjugated back: 0.3 + 0.2 + 0.1 is
+    # 0.6, while 0.1 + 0.2 + 0.3 rounds to 0.6000000000000001
+    a, b, c, d = (pack({i: 1}) for i in range(4))
+    left = PhotonicState(registry, {a: 0.1, b: 0.2, c: 0.3, d: 7.0})
+    right = PhotonicState(registry, {c: 1j, b: 1j, a: 1j})
+    assert inner_product(left, right) == 0.6j
+    assert inner_product(right, left) == -0.6j
+    tie = PhotonicState(registry, {a: 0.1, b: 0.2, c: 0.3})
+    assert inner_product(tie, right) == 0.6000000000000001j
+    # each shared key carries its factorial weight
+    doubled = pack({0: 2})
+    assert inner_product(PhotonicState(registry, {doubled: 1.0}),
+                         PhotonicState(registry, {doubled: 3j, d: 1.0})) == 6j
 
 
-def test_overlap_that_cancels_to_residue_is_an_exact_zero():
+def test_inner_product_that_cancels_to_residue_is_an_exact_zero(registry):
     # 3 * 0.1 rounds to 0.30000000000000004, so the two terms leave 5.6e-17;
     # a sum that small against terms of 0.3 is residue, not an amplitude
     assert 3 * 0.1 - 0.3 != 0
-    assert overlap({1: 3 + 0j, 2: 1 + 0j}, {1: 0.1 + 0j, 2: -0.3 + 0j}, lambda key: 1.0) == 0j
+    a, b = pack({0: 1}), pack({1: 1})
+    state = lambda amplitudes: PhotonicState(registry, amplitudes)
+    assert inner_product(state({a: 3.0, b: 1.0}), state({a: 0.1, b: -0.3})) == 0j
+    assert cancel_residue(3 * 0.1 - 0.3, 0.6) == 0j
     # a tiny sum of terms that do not cancel is kept
-    assert overlap({1: 1 + 0j, 2: 1 + 0j}, {1: 1e-30 + 0j, 2: 1e-30 + 0j}, lambda key: 1.0) == 2e-30
+    assert inner_product(state({a: 1.0, b: 1.0}), state({a: 1e-30, b: 1e-30})) == 2e-30
 
 
 def test_pack_and_occupations_round_trip():

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from conftest import without_c1_plate
+from conftest import ghz_strings, without_c1_plate
 from heraldnet.fock import (
     inner_product,
     norm_squared,
@@ -206,21 +206,25 @@ class TestGhzPair:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("n", [2, 3])
     def test_normalized_orthogonal_pair(self, scheme, n):
-        plus, minus = build_scheme(scheme, n, 0.9).spec.ghz_pair
+        plus, minus = ghz_strings(build_scheme(scheme, n, 0.9).spec)
         assert norm_squared(plus) == pytest.approx(1.0, abs=1e-12)
         assert norm_squared(minus) == pytest.approx(1.0, abs=1e-12)
         assert abs(inner_product(plus, minus)) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_central_pair_spans_diagonal_words(self, n):
-        plus, minus = build_bc(n, 0.9).spec.ghz_pair
+        spec = build_bc(n, 0.9).spec
+        r = 1.0 / math.sqrt(2.0)
+        assert spec.ghz_qubits == ((r, r), (r, -r))
+        plus, minus = ghz_strings(spec)
         assert len(plus.terms) == 2**n
         assert len(minus.terms) == 2**n
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_ring_pair_is_polarization_strings(self, n):
         spec = build_sd(n, 0.9).spec
-        plus, minus = spec.ghz_pair
+        assert spec.ghz_qubits == ((1, 0), (0, 1))
+        plus, minus = ghz_strings(spec)
         assert len(plus.terms) == 1
         assert len(minus.terms) == 1
         all_h = state_from_creation_product(
@@ -231,6 +235,15 @@ class TestGhzPair:
         )
         assert inner_product(all_h, plus) == pytest.approx(1.0, abs=1e-12)
         assert inner_product(all_v, minus) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("n", [16, 50])
+    def test_builders_reach_past_a_packed_string(self, scheme, n):
+        # the GHZ target is one qubit per retained pair, never an n-photon
+        # state, so a build has no photon cap of its own
+        build = build_scheme(scheme, n, 0.9)
+        assert len(build.parties) == len(build.spec.retained_pairs) == n
+        assert len(build.spec.detector_stations) == n
 
 
 class TestFeedforwardRules:
