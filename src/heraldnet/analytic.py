@@ -12,6 +12,7 @@ compared side by side.  Success probabilities agree everywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,18 @@ def _check(scheme: str, n: int, eta: float) -> None:
     _check_params(n, eta)
 
 
+def _zero_past_overflow(form):
+    """``form``, reading 0.0 where a power overflows: its exact value there
+    lies below the smallest normal float.  Powers of 2 scale by ``math.ldexp``."""
+    @functools.wraps(form)
+    def guarded(*args: object) -> float:
+        try:
+            return form(*args)
+        except OverflowError:
+            return 0.0
+    return guarded
+
+
 def closed_p_suc(scheme: str, n: int, eta: float) -> float:
     """Design success probability.
 
@@ -45,12 +58,13 @@ def closed_p_suc(scheme: str, n: int, eta: float) -> float:
     """
     _check(scheme, n, eta)
     if scheme == "bc":
-        return eta ** (2 * n) / 2 ** (n - 1)
+        return math.ldexp(eta ** (2 * n), 1 - n)
     if scheme == "sc":
-        return eta ** (2 * n) / 2 ** (2 * n - 1)
-    return eta ** (4 * n) / 2 ** (2 * n - 1)
+        return math.ldexp(eta ** (2 * n), 1 - 2 * n)
+    return math.ldexp(eta ** (4 * n), 1 - 2 * n)
 
 
+@_zero_past_overflow
 def closed_p_hr(scheme: str, n: int, eta: float) -> float:
     """Design herald probability.
 
@@ -63,12 +77,13 @@ def closed_p_hr(scheme: str, n: int, eta: float) -> float:
     """
     _check(scheme, n, eta)
     if scheme == "bc":
-        return eta ** (2 * n) / 2 ** (n - 1)
+        return math.ldexp(eta ** (2 * n), 1 - n)
     if scheme == "sc":
-        return (eta ** (2 * n) + (3 * eta**2 - 2 * eta**4) ** n) / 2 ** (2 * n)
-    return ((2 * eta**2 - eta**4) ** n + eta ** (4 * n)) / 2 ** (2 * n)
+        return math.ldexp(eta ** (2 * n) + (3 * eta**2 - 2 * eta**4) ** n, -2 * n)
+    return math.ldexp((2 * eta**2 - eta**4) ** n + eta ** (4 * n), -2 * n)
 
 
+@_zero_past_overflow
 def closed_h_eff(scheme: str, n: int, eta: float) -> float:
     """Design heralding efficiency.
 
@@ -85,6 +100,7 @@ def closed_h_eff(scheme: str, n: int, eta: float) -> float:
     return 2.0 * eta ** (2 * n) / ((2.0 - eta**2) ** n + eta ** (2 * n))
 
 
+@_zero_past_overflow
 def sc_p_hr_uncorrected(n: int, eta: float) -> float:
     """Uncorrected sc herald probability (eta^2N + (3 eta^2 - 2 eta^4)^N) / 2^N.
 
@@ -93,7 +109,7 @@ def sc_p_hr_uncorrected(n: int, eta: float) -> float:
     lossless consistency check.
     """
     _check("sc", n, eta)
-    return (eta ** (2 * n) + (3 * eta**2 - 2 * eta**4) ** n) / 2**n
+    return math.ldexp(eta ** (2 * n) + (3 * eta**2 - 2 * eta**4) ** n, -n)
 
 
 def exact_p_hr(scheme: str, n: int, eta: float) -> float:
@@ -113,9 +129,10 @@ def exact_p_hr(scheme: str, n: int, eta: float) -> float:
     _check(scheme, n, eta)
     if scheme == "bc":
         return closed_p_hr("bc", n, eta)
-    return (2 * eta**2 - eta**4) ** n / 2 ** (2 * n - 1)
+    return math.ldexp((2 * eta**2 - eta**4) ** n, 1 - 2 * n)
 
 
+@_zero_past_overflow
 def exact_h_eff(scheme: str, n: int, eta: float) -> float:
     """Heralding efficiency matching exhaustive amplitude simulation.
 

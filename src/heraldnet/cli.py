@@ -165,16 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--workers", type=int, default=None,
                           help="simulation worker processes (default 1)")
     _add_common(p_verify)
-
-    # kept for --config: file defaults must be set on the subparser because
-    # subparsers parse into a fresh namespace and would mask them otherwise
-    parser.subparser_map = {
-        "simulate": p_sim, "sweep": p_sweep, "crossover": p_cross, "verify": p_verify
-    }
     return parser
 
 
 def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> argparse.Namespace:
+    """Parse ``argv`` with a ``--config`` file's values as options after the
+    subcommand: ``--key=value``, the bare ``--key`` for ``true`` and nothing
+    for ``null`` or ``false``.  The command line's own options follow and win."""
     args = parser.parse_args(argv)
     if args.config:
         try:
@@ -185,14 +182,13 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> argp
         if not isinstance(stored, dict):
             raise CliError(f"config {args.config} must hold a JSON object")
         stored.pop("command", None)
-        base = vars(args)
-        unknown = set(stored) - set(base)
+        unknown = set(stored) - set(vars(args))
         if unknown:
             raise CliError(f"config {args.config} has unknown keys: {sorted(unknown)}")
-        # File values fill in everything the command line left at default;
-        # re-parsing with updated defaults keeps explicit flags winning.
-        parser.subparser_map[args.command].set_defaults(**stored)
-        args = parser.parse_args(argv)
+        options = [f"--{key.replace('_', '-')}" + ("" if value is True else f"={value}")
+                   for key, value in stored.items() if value is not None and value is not False]
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + options + argv[at:])
     return args
 
 

@@ -117,13 +117,18 @@ class ModeRegistry:
 
 @dataclass
 class PhotonicState:
-    """Sparse superposition of creation-operator monomials on vacuum."""
+    """Sparse superposition of creation-operator monomials on vacuum.  It
+    owns the ``amplitudes`` dict it is given, which is cleaned, not copied."""
 
     registry: ModeRegistry
     amplitudes: dict[int, complex] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.amplitudes = {k: complex(a) for k, a in self.amplitudes.items() if a}
+        # In place and in key order: a cleaned copy would double a large state's peak.
+        amplitudes = self.amplitudes
+        for key in [k for k, a in amplitudes.items() if not a]:
+            del amplitudes[key]
+        amplitudes.update([(k, complex(a)) for k, a in amplitudes.items() if type(a) is not complex])
 
     def __len__(self) -> int:
         return len(self.amplitudes)

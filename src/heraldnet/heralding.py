@@ -43,8 +43,6 @@ from .schemes import SchemeBuild, SchemeSpec
 # at N=8 every scheme has 16 photons, more than a packed key holds (MAX_OCCUPATION).
 ORACLE_MAX_PARTIES = 7
 
-BASIS_LETTERS = {"HV": ("H", "V"), "DA": ("D", "A")}
-
 
 class UndefinedMetricError(ArithmeticError):
     """Raised when a ratio metric has a vanishing denominator."""
@@ -66,9 +64,10 @@ def check_oracle_size(scheme: str, n: int) -> None:
         )
 
 
-def enumerate_patterns(n: int, basis: str) -> list[tuple[str, ...]]:
-    """All click patterns in lexicographic order of the basis letters."""
-    letters = BASIS_LETTERS[basis]
+def enumerate_patterns(n: int, letters: str) -> list[tuple[str, ...]]:
+    """All click patterns over a basis's H-slot and V-slot letter, in that order."""
+    if len(letters) != 2 or letters[0] == letters[1]:
+        raise ValueError(f"a detection basis names two distinct letters, got {letters!r}")
     return list(itertools.product(letters, repeat=n))
 
 
@@ -196,9 +195,8 @@ def analyze_patterns(build: SchemeBuild) -> list[PatternOutcome]:
     def branches(part: int) -> tuple[tuple[int, complex], ...]:
         # Each nonzero GHZ branch amplitude of ``part`` with its slot in the
         # sums: a product of one qubit per retained pair, in pair order, on a
-        # part that holds one photon per pair and nothing else.
-        if photons(part) != len(slots):
-            return ()
+        # part that holds one photon per pair.  A heralded key's part holds n
+        # of its 2n photons, so one per pair leaves none elsewhere.
         x = y = 1 + 0j
         for h, v in slots:
             if part >> h & MAX_OCCUPATION:
@@ -229,10 +227,9 @@ def analyze_patterns(build: SchemeBuild) -> list[PatternOutcome]:
             acc[i] += term
             acc[i + 1] += abs(term)
 
-    letters = BASIS_LETTERS[spec.detection_basis]
     outcomes = []
     for pattern in enumerate_patterns(spec.n_parties, spec.detection_basis):
-        clicks = pack({station[letters.index(c)].index: 1
+        clicks = pack({station[spec.detection_basis.index(c)].index: 1
                        for station, c in zip(spec.detector_stations, pattern)})
         probability, histogram, x, x_scale, y, y_scale = sums.get(clicks, (0.0, {}, 0j, 0, 0j, 0))
         outcomes.append(PatternOutcome(pattern, probability,

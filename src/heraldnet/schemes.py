@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .fock import (
     Mode,
@@ -112,8 +112,8 @@ class SchemeSpec:
     measurement basis.  The target GHZ state is the balanced superposition
     of two orthonormal branches, each a product of one identical qubit per
     retained pair; ``ghz_qubits`` holds that qubit's (H, V) amplitudes in
-    each branch.  ``feedforward_rule`` predicts the correcting phase for a
-    herald outcome tuple.
+    each branch.  ``feedforward_rule`` gives the phase that corrects a
+    herald outcome: pi * ((count of the V-slot letter + ``feedforward_offset``) mod 2).
     """
 
     scheme: str
@@ -125,7 +125,10 @@ class SchemeSpec:
     environment_modes: tuple[Mode, ...]
     detection_basis: str
     ghz_qubits: tuple[tuple[complex, complex], tuple[complex, complex]]
-    feedforward_rule: Callable[[tuple[str, ...]], float]
+    feedforward_offset: int
+
+    def feedforward_rule(self, pattern: tuple[str, ...]) -> float:
+        return math.pi * ((pattern.count(self.detection_basis[1]) + self.feedforward_offset) % 2)
 
 
 class SchemeBuild(NamedTuple):
@@ -188,28 +191,6 @@ def _photon_pairs(registry: ModeRegistry, n: int) -> tuple[PhotonicState, ...]:
 
 
 # ----------------------------------------------------------------------
-# Feed-forward rules
-# ----------------------------------------------------------------------
-
-def _central_feedforward(n: int) -> Callable[[tuple[str, ...]], float]:
-    # Phase between the two diagonal GHZ branches: pi * (V-count + n) mod 2,
-    # fixed by the splitter sign conventions above (checked against the
-    # simulated amplitudes in the tests, not assumed).
-    def rule(pattern: tuple[str, ...]) -> float:
-        return math.pi * ((pattern.count("V") + n) % 2)
-
-    return rule
-
-
-def _decentral_feedforward(n: int) -> Callable[[tuple[str, ...]], float]:
-    del n  # the A-count parity alone fixes the phase for this wiring
-    def rule(pattern: tuple[str, ...]) -> float:
-        return math.pi * (pattern.count("A") % 2)
-
-    return rule
-
-
-# ----------------------------------------------------------------------
 # Builders
 # ----------------------------------------------------------------------
 
@@ -258,7 +239,9 @@ def _central(scheme: str, n: int, eta: float, parties: tuple[PhotonicState, ...]
         detection_basis="HV",
         # (H + V)/sqrt(2) and (H - V)/sqrt(2) on every pair
         ghz_qubits=((complex(r), complex(r)), (complex(r), complex(-r))),
-        feedforward_rule=_central_feedforward(n),
+        # fixed by the splitter sign conventions above (checked against the
+        # simulated amplitudes in the tests, not assumed)
+        feedforward_offset=n,
     )
     stages = (*source_stages, c1_plate, _loss_stage(c, f, eta), splitters)
     return SchemeBuild(parties, stages, spec)
@@ -296,7 +279,7 @@ def build_sd(n: int, eta: float) -> SchemeBuild:
         environment_modes=_flatten(f) + _flatten(g),
         detection_basis="DA",
         ghz_qubits=((1 + 0j, 0j), (0j, 1 + 0j)),  # all H and all V
-        feedforward_rule=_decentral_feedforward(n),
+        feedforward_offset=0,  # the A-count parity alone fixes the phase for this wiring
     )
     return SchemeBuild(_photon_pairs(registry, n), stages, spec)
 

@@ -26,7 +26,6 @@ from heraldnet.fock import (
     with_photons,
 )
 from heraldnet.heralding import (
-    BASIS_LETTERS,
     Metrics,
     PatternOutcome,
     compute_metrics,
@@ -97,10 +96,10 @@ def reference_outcomes(build):
     buckets = {}
     for key, amp in detection_ready_state(build).amplitudes.items():
         buckets.setdefault(key & detector_mask, {})[key] = amp
-    letters = BASIS_LETTERS[spec.detection_basis]
+    letters = spec.detection_basis
     strings = ghz_strings(spec)
     outcomes = []
-    for pattern in enumerate_patterns(spec.n_parties, spec.detection_basis):
+    for pattern in enumerate_patterns(spec.n_parties, letters):
         clicks = {station[letters.index(c)].index: 1
                   for station, c in zip(spec.detector_stations, pattern)}
         conditional = PhotonicState(spec.registry, buckets.get(pack(clicks), {}))

@@ -1,7 +1,9 @@
 """Tests for the closed-form rates, thresholds, and crossover geometry."""
 
+import decimal
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +143,57 @@ class TestValidation:
 
     def test_bracket_error_is_arithmetic(self):
         assert issubclass(RootBracketError, ArithmeticError)
+
+
+def decimal_forms(n, eta):
+    """Every closed form at (n, eta), keyed by (function, scheme), in 40-digit
+    decimal arithmetic with an exponent range no N here can leave."""
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 40, decimal.MAX_EMAX, decimal.MIN_EMIN
+        e2 = decimal.Decimal(eta) ** 2
+        two = decimal.Decimal(2)
+        ring_home = (2 * e2 - e2 * e2) ** n  # (2 eta^2 - eta^4)^N
+        sc_design = e2**n + (3 * e2 - 2 * e2 * e2) ** n
+        forms = {
+            ("closed_p_suc", "bc"): e2**n / two ** (n - 1),
+            ("closed_p_suc", "sc"): e2**n / two ** (2 * n - 1),
+            ("closed_p_suc", "sd"): e2 ** (2 * n) / two ** (2 * n - 1),
+            ("closed_p_hr", "bc"): e2**n / two ** (n - 1),
+            ("closed_p_hr", "sc"): sc_design / two ** (2 * n),
+            ("closed_p_hr", "sd"): (ring_home + e2 ** (2 * n)) / two ** (2 * n),
+            ("closed_h_eff", "bc"): decimal.Decimal(1),
+            ("closed_h_eff", "sc"): 2 / (1 + (3 - 2 * e2) ** n),
+            ("closed_h_eff", "sd"): 2 * e2**n / ((2 - e2) ** n + e2**n),
+            ("sc_p_hr_uncorrected", "sc"): sc_design / two**n,
+            ("exact_p_hr", "bc"): e2**n / two ** (n - 1),
+            ("exact_p_hr", "sc"): ring_home / two ** (2 * n - 1),
+            ("exact_p_hr", "sd"): ring_home / two ** (2 * n - 1),
+            ("exact_h_eff", "bc"): decimal.Decimal(1),
+            ("exact_h_eff", "sc"): 1 / (2 - e2) ** n,
+            ("exact_h_eff", "sd"): e2**n / (2 - e2) ** n,
+        }
+        return {key: float(value) if value >= sys.float_info.min else value
+                for key, value in forms.items()}
+
+
+class TestAnyPartyCount:
+    # past N = 511 the int 2^2N stops converting to a float; sc's herald
+    # numerators overflow from N = 6027 at eta^2 = 3/4, (3 - 2 eta^2)^N
+    # from N = 647 and (2 - eta^2)^N at N = 2000, eta = 0.5
+    @pytest.mark.parametrize("n", [2, 7, 100, 511, 512, 520, 647, 2000, 6026, 6027, 10**6])
+    def test_every_form_follows_its_decimal_value(self, n):
+        forms = {"closed_p_suc": closed_p_suc, "closed_p_hr": closed_p_hr,
+                 "closed_h_eff": closed_h_eff, "exact_p_hr": exact_p_hr,
+                 "exact_h_eff": exact_h_eff,
+                 "sc_p_hr_uncorrected": lambda scheme, n, eta: sc_p_hr_uncorrected(n, eta)}
+        for eta in (1e-3, 0.1, 0.5, math.sqrt(0.75), 0.9, 1.0):
+            for (name, scheme), reference in decimal_forms(n, eta).items():
+                value = forms[name](scheme, n, eta)
+                if isinstance(reference, float):
+                    assert value == pytest.approx(reference, rel=1e-12), (name, scheme, eta)
+                else:
+                    # below the smallest normal float, and 0.0 where a power overflows
+                    assert 0.0 <= value < sys.float_info.min, (name, scheme, eta)
 
 
 class TestThresholds:

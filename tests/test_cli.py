@@ -264,6 +264,96 @@ class TestSweep:
         assert config["parties"] == "3"
         assert config["radius_grid"] == "0:4:2"
 
+    def test_closed_forms_reach_past_512_parties(self, capsys):
+        # 2^(2N) no longer converts to a float here; the forms scale by ldexp
+        code, out, err = run(capsys, ["sweep", "--parties", "520", "--radius-grid", "0:1:1"])
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [(r[0], r[2]) for r in rows] == [(s, r) for s in ("bc", "sc", "sd") for r in "01"]
+        # lossless sc and sd herald 2^-1039, a subnormal float
+        assert [r[6] for r in rows if r[2] == "0"][1:] == ["1.69759663277e-313"] * 2
+
+
+def error_exit(capsys, argv):
+    """``main(argv)``'s exit code and stderr, from a return or from argparse."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+class TestConfigFile:
+    @staticmethod
+    def config(tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--radius", "3", "--parties", "2", "--scheme", "bc", "--format", "json"],
+        ["sweep", "--scheme", "sd", "--parties", "3", "--radius-grid", "0:4:2", "--alpha", "0.05"],
+        ["crossover", "--parties", "6..8", "--tol", "1e-3", "--format", "csv"],
+        ["verify", "--scheme", "sc", "--parties", "2", "--eta", "0.5", "--sc-phr-uncorrected"],
+    ])
+    def test_dump_config_round_trips(self, capsys, tmp_path, argv):
+        code, dumped, _ = run(capsys, argv + ["--dump-config"])
+        assert code == 0
+        config = self.config(tmp_path, dumped)
+        assert run(capsys, [argv[0], "--config", config, "--dump-config"]) == (0, dumped, "")
+        assert run(capsys, [argv[0], "--config", config]) == run(capsys, argv)
+
+    def test_command_line_flags_win(self, capsys, tmp_path):
+        config = self.config(tmp_path, '{"parties": "2", "scheme": "bc", "eta": 0.5}')
+        via_config = run(capsys, ["simulate", "--config", config, "--parties", "3"])
+        assert via_config == run(capsys, ["simulate", "--scheme", "bc", "--eta", "0.5",
+                                          "--parties", "3"])
+
+    # a file value meets the same type and choice checks as the flag
+    @pytest.mark.parametrize(("stored", "flags"), [
+        ('{"format": "xml"}', ["--format", "xml"]),
+        ('{"eta": true}', ["--eta"]),
+    ])
+    def test_values_are_checked_as_on_the_command_line(self, capsys, tmp_path, stored, flags):
+        argv = ["simulate", "--parties", "2", "--scheme", "bc"]
+        direct = error_exit(capsys, argv + flags)
+        assert direct[0] == 2 and "error: argument" in direct[1]
+        assert error_exit(capsys, argv + ["--config", self.config(tmp_path, stored)]) == direct
+
+    def test_an_int_value_is_parsed_as_its_text(self, capsys, tmp_path):
+        config = self.config(tmp_path, '{"parties": 5}')
+        argv = ["simulate", "--scheme", "bc", "--eta", "0.9"]
+        assert run(capsys, argv + ["--config", config]) == run(capsys, argv + ["--parties", "5"])
+
+    def test_an_int_out_names_a_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = self.config(tmp_path, '{"out": 3}')
+        argv = ["simulate", "--scheme", "bc", "--parties", "2", "--eta", "0.9"]
+        assert run(capsys, argv + ["--config", config]) == (0, "", "")
+        via_config = (tmp_path / "3").read_text(encoding="utf-8")
+        assert run(capsys, argv + ["--out", "3"]) == (0, "", "")
+        assert via_config == (tmp_path / "3").read_text(encoding="utf-8") != ""
+
+    @pytest.mark.parametrize("text", [None, "{not json"])
+    def test_unreadable_config_is_an_error_line(self, capsys, tmp_path, text):
+        path = str(tmp_path / "cfg.json") if text is None else self.config(tmp_path, text)
+        code, err = error_exit(capsys, ["sweep", "--config", path])
+        assert code == 1
+        assert err.startswith(f"error: cannot read config {path}: ") and err.count("\n") == 1
+
+    def test_config_must_hold_an_object(self, capsys, tmp_path):
+        path = self.config(tmp_path, '["--parties", "3"]')
+        assert error_exit(capsys, ["sweep", "--config", path]) == (
+            1, f"error: config {path} must hold a JSON object\n")
+
+    def test_unknown_keys_are_refused(self, capsys, tmp_path):
+        # verify has no --format, and "color" is no option at all
+        path = self.config(tmp_path, '{"format": "csv", "color": 1, "command": "sweep"}')
+        assert error_exit(capsys, ["verify", "--config", path]) == (
+            1, f"error: config {path} has unknown keys: ['color', 'format']\n")
+
 
 class TestCrossover:
     def test_text_table_and_footer(self, capsys):
@@ -337,6 +427,12 @@ class TestExtremeAttenuation:
 
 
 class TestErrorExits:
+    def test_unwritable_out_is_an_error_line(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "sweep.csv"
+        code, out, err = run(capsys, ["sweep", "--parties", "3", "--out", str(target)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
     def test_root_bracket_failure_is_an_error_line(self, capsys):
         # the root's alpha*R grows like N ln(2)/(4 pi): past the bracket limit here
         code, out, err = run(capsys, ["crossover", "--parties", "50000..50000"])

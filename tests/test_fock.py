@@ -119,6 +119,17 @@ def test_inner_product_of_orthogonal_monomials_vanishes(registry):
     assert inner_product(s, t) == 0
 
 
+def test_state_cleans_its_dict_in_place(registry):
+    # exact zeros go, every other amplitude becomes complex, and the keys keep
+    # their order in the same dict: no second copy of a large state is made
+    a, b, c, d = (pack({i: 1}) for i in range(4))
+    amplitudes = {d: 2, a: 0j, c: 0.5, b: 1j, pack({4: 1}): 0.0}
+    state = PhotonicState(registry, amplitudes)
+    assert state.amplitudes is amplitudes
+    assert list(amplitudes.items()) == [(d, 2 + 0j), (c, 0.5 + 0j), (b, 1j)]
+    assert all(type(v) is complex for v in amplitudes.values())
+
+
 def test_inner_product_runs_over_the_smaller_state(registry):
     # the shared keys are summed in the smaller state's order (the left one's
     # on a tie), and a right-side walk is conjugated back: 0.3 + 0.2 + 0.1 is

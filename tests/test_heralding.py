@@ -9,7 +9,7 @@ import pytest
 from conftest import explicit_evolution, heralded_part, reference_outcomes, without_c1_plate
 from heraldnet import heralding, schemes
 from heraldnet.analytic import closed_p_suc, exact_h_eff, exact_p_hr
-from heraldnet.fock import norm_squared, occupations, product
+from heraldnet.fock import norm_squared, occupations, photons, product
 from heraldnet.heralding import (
     ORACLE_MAX_PARTIES,
     Metrics,
@@ -22,6 +22,7 @@ from heraldnet.heralding import (
     compute_metrics,
     detection_ready_state,
     enumerate_patterns,
+    station_masks,
 )
 from heraldnet.optics import LinearMap, apply, compose_maps, half_wave_plate, merge_maps, pbs_hv
 from heraldnet.schemes import SCHEMES, SchemeBuild, build_bc, build_sc, build_scheme, build_sd
@@ -49,8 +50,11 @@ class TestPatternEnumeration:
         assert len(enumerate_patterns(n, "HV")) == 2**n
 
     def test_unknown_basis(self):
-        with pytest.raises(KeyError):
-            enumerate_patterns(2, "XY")
+        # a basis is its two slot letters, H slot first; anything else is refused
+        assert enumerate_patterns(1, "XY") == [("X",), ("Y",)]
+        for letters in ("HH", "H", "HVD", ""):
+            with pytest.raises(ValueError, match="two distinct letters"):
+                enumerate_patterns(2, letters)
 
 
 class TestDetectionPipeline:
@@ -69,6 +73,19 @@ class TestDetectionPipeline:
         assert norm_squared(detection_ready_state(build)) == pytest.approx(
             compute_metrics(build).p_hr, rel=1e-12
         )
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("eta", [1.0, 0.9, 0.5])
+    def test_heralded_keys_hold_n_photons_off_the_detectors(self, scheme, n, eta):
+        # the stages conserve the 2n photons and a herald puts one on each of
+        # the n stations, so the analysis finds n photons on every part
+        build = build_scheme(scheme, n, eta)
+        detectors = sum(station_masks(build.spec))
+        keys = detection_ready_state(build).amplitudes
+        assert keys
+        for key in keys:
+            assert (photons(key & detectors), photons(key & ~detectors)) == (n, n)
 
     @staticmethod
     def _assert_heralded_part(build, ready, explicit, bitwise):

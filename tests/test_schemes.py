@@ -1,6 +1,7 @@
 """Tests for the three network builders and the ring geometry helpers."""
 
 import cmath
+import dataclasses
 import math
 
 import pytest
@@ -264,6 +265,17 @@ class TestFeedforwardRules:
         assert rule(("A", "A")) == pytest.approx(0.0)
         rule3 = build_sd(3, 0.9).spec.feedforward_rule
         assert rule3(("A", "A", "A")) == pytest.approx(math.pi)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rule_counts_the_v_slot_letter_of_the_basis(self, n):
+        # the offset is data: n for the central station, 0 for the ring
+        for scheme, offset in (("bc", n), ("sc", n), ("sd", 0)):
+            spec = build_scheme(scheme, n, 0.9).spec
+            assert spec.feedforward_offset == offset
+            relabelled = dataclasses.replace(spec, detection_basis="XY")
+            for k in range(n + 1):
+                pattern = ("Y",) * k + ("X",) * (n - k)
+                assert relabelled.feedforward_rule(pattern) == math.pi * ((k + offset) % 2)
 
 
 class TestCircuits:
