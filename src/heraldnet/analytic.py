@@ -38,16 +38,22 @@ def _check(scheme: str, n: int, eta: float) -> None:
     _check_params(n, eta)
 
 
-def _zero_past_overflow(form):
-    """``form``, reading 0.0 where a power overflows: its exact value there
-    lies below the smallest normal float.  Powers of 2 scale by ``math.ldexp``."""
-    @functools.wraps(form)
-    def guarded(*args: object) -> float:
-        try:
-            return form(*args)
-        except OverflowError:
-            return 0.0
-    return guarded
+def _past_overflow(fallback):
+    """Decorate a form with ``fallback``, taken where a power in the form
+    overflows: the same value with no power above 1 (``b**-n`` for
+    ``1 / b**n``), less any term that the overflow puts beyond the last
+    bit.  The value there lies below the smallest normal float, and the
+    fallback follows it into the subnormal range.  Powers of 2 scale by
+    ``math.ldexp``."""
+    def decorate(form):
+        @functools.wraps(form)
+        def guarded(*args: object) -> float:
+            try:
+                return form(*args)
+            except OverflowError:
+                return fallback(*args)
+        return guarded
+    return decorate
 
 
 def closed_p_suc(scheme: str, n: int, eta: float) -> float:
@@ -64,7 +70,8 @@ def closed_p_suc(scheme: str, n: int, eta: float) -> float:
     return math.ldexp(eta ** (4 * n), 1 - 2 * n)
 
 
-@_zero_past_overflow
+# only sc's (3 eta^2 - 2 eta^4)^N can overflow
+@_past_overflow(lambda scheme, n, eta: (eta**2 / 4) ** n + ((3 * eta**2 - 2 * eta**4) / 4) ** n)
 def closed_p_hr(scheme: str, n: int, eta: float) -> float:
     """Design herald probability.
 
@@ -83,7 +90,8 @@ def closed_p_hr(scheme: str, n: int, eta: float) -> float:
     return math.ldexp((2 * eta**2 - eta**4) ** n + eta ** (4 * n), -2 * n)
 
 
-@_zero_past_overflow
+@_past_overflow(lambda scheme, n, eta: 2.0 * (eta ** (2 * n) * (2.0 - eta**2) ** -n
+                                             if scheme == "sd" else (3.0 - 2.0 * eta**2) ** -n))
 def closed_h_eff(scheme: str, n: int, eta: float) -> float:
     """Design heralding efficiency.
 
@@ -100,7 +108,7 @@ def closed_h_eff(scheme: str, n: int, eta: float) -> float:
     return 2.0 * eta ** (2 * n) / ((2.0 - eta**2) ** n + eta ** (2 * n))
 
 
-@_zero_past_overflow
+@_past_overflow(lambda n, eta: (eta**2 / 2) ** n + ((3 * eta**2 - 2 * eta**4) / 2) ** n)
 def sc_p_hr_uncorrected(n: int, eta: float) -> float:
     """Uncorrected sc herald probability (eta^2N + (3 eta^2 - 2 eta^4)^N) / 2^N.
 
@@ -132,7 +140,8 @@ def exact_p_hr(scheme: str, n: int, eta: float) -> float:
     return math.ldexp((2 * eta**2 - eta**4) ** n, 1 - 2 * n)
 
 
-@_zero_past_overflow
+# only sd's (2 - eta^2)^N can overflow
+@_past_overflow(lambda scheme, n, eta: eta ** (2 * n) * (2.0 - eta**2) ** -n)
 def exact_h_eff(scheme: str, n: int, eta: float) -> float:
     """Heralding efficiency matching exhaustive amplitude simulation.
 

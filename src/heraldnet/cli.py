@@ -3,8 +3,15 @@
 Subcommands: simulate (metrics for one network), sweep (radius sweeps as
 CSV), crossover (per-N crossing radius table), verify (closed forms against
 brute-force simulation).  All outputs are deterministic for a fixed
-configuration and any ``verify --workers``.  Errors print one ``error:``
-line on stderr and exit with code 1.
+configuration and any ``verify --workers``.
+
+Errors come in two classes.  A malformed option, on the command line or
+from ``--config`` (an unknown option, a missing value, a value its
+argparse type or choices refuse), prints argparse's usage block and its
+``error:`` line on stderr and exits with code 2.  Every other error (a
+value out of range, the oracle size cap, an undefined heralding
+efficiency, a crossover root out of reach, an unreadable config file)
+prints one ``error:`` line on stderr and exits with code 1.
 """
 
 from __future__ import annotations

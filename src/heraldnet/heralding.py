@@ -9,6 +9,12 @@ schemes, "D"/"A" for the decentralized one).
 All probabilities here are computed from the exact evolved amplitudes, never
 from closed-form shortcuts; the closed forms live in :mod:`.analytic` and
 the test-suite checks the two against each other.
+
+Two paths start from the same per-party evolution: :func:`compute_metrics`
+contracts the evolved party factors around the ring into P_hr and P_suc
+and never forms the heralded ket, while :func:`analyze_patterns` walks that
+ket (:func:`detection_ready_state`, about 8^N terms) for its per-pattern
+outcomes.
 """
 
 from __future__ import annotations
@@ -22,8 +28,11 @@ from operator import or_
 from .fock import (
     BITS,
     MAX_OCCUPATION,
+    Mode,
     PhotonicState,
     _monomial_weight,
+    _ones,
+    cancel_add,
     cancel_residue,
     inner_product,  # noqa: F401 - benchmarks/run.py --trace 1 times heralding.inner_product
     norm_squared,  # noqa: F401 - benchmarks/run.py --trace 1 times heralding.norm_squared
@@ -34,13 +43,13 @@ from .fock import (
 from .optics import apply
 from .schemes import SchemeBuild, SchemeSpec
 
-# Exhaustive amplitude tracking is exponential in the party count; past this
-# size a single case needs minutes and gigabytes, so the drivers refuse it.
-# This cap is the only bound on the term count (1,048,576 at most, sc N=7).
-# Measured on 2 cores, Python 3.11, one fresh process per case, eta 0.9 and 0.5:
-# bc N=7 0.08 to 0.11 s and 18 MB, sc N=6 0.8 to 0.9 s and 66 MB, sc N=7 7.8
-# to 8.2 s and 467 MB, sd N=6 0.26 to 0.35 s and 41 MB, sd N=7 2.1 to 2.4 s and 151 MB;
-# at N=8 every scheme has 16 photons, more than a packed key holds (MAX_OCCUPATION).
+# The drivers refuse networks past this size.  compute_metrics does not need
+# the cap: on 2 cores, Python 3.11, one fresh process per case, eta 0.9 and 0.5,
+# every scheme at N=6 or 7 takes 2 to 10 ms and 15 MB.  What it still bounds is
+# analyze_patterns' heralded ket, about 8^N terms (1,048,576 at sc N=7): at eta
+# 0.9, sc N=6 takes 0.8 s and 64 MB, sc N=7 7.4 s and 446 MB, sd N=6 0.26 s and
+# 36 MB, sd N=7 1.7 s and 151 MB.  At N=8 every scheme has 16 photons, more than
+# a packed key holds (MAX_OCCUPATION), so every path refuses it.
 ORACLE_MAX_PARTIES = 7
 
 
@@ -78,25 +87,51 @@ def station_masks(spec: SchemeSpec) -> tuple[int, ...]:
     )
 
 
+def _occupied(key: int) -> int:
+    """The packed mask of every mode that ``key`` holds a photon in."""
+    return ((key | key >> 1 | key >> 2 | key >> 3) & _ones(key.bit_length())) * MAX_OCCUPATION
+
+
+def _evolved_parties(build: SchemeBuild) -> tuple[list[PhotonicState], list[dict[int, int]],
+                                                  list[int]]:
+    """Each party's factor through every stage of ``build.stages`` on its
+    own, which is exact for every scheme because substitution is
+    multiplicative; each factor's station tags; and each factor's footprint,
+    the packed mask of the modes its terms reach.  A tag packs a term's
+    photon count in each station into a nibble, so tags add; a term with two
+    photons in one station can take part in no herald and gets no tag."""
+    stations = list(enumerate(station_masks(build.spec)))
+    doubled = _ones(BITS * len(stations)) * (MAX_OCCUPATION - 1)
+    factors, tags, footprints = [], [], []
+    for party in build.parties:
+        factor = reduce(lambda state, stage: apply(stage, state), build.stages, party)
+        # OR keeps every nonzero nibble nonzero, so one mask serves all keys.
+        footprint = _occupied(reduce(or_, factor.amplitudes, 0))
+        reached = [(BITS * s, m) for s, m in stations if footprint & m]
+        tag = {}
+        for k in factor.amplitudes:
+            t = 0
+            for shift, m in reached:
+                if k & m:
+                    t += photons(k & m) << shift
+            if not t & doubled:
+                tag[k] = t
+        factors.append(factor)
+        tags.append(tag)
+        footprints.append(footprint)
+    return factors, tags, footprints
+
+
 def detection_ready_state(build: SchemeBuild) -> PhotonicState:
     """The heralded part of the evolved state, of squared norm P_hr.
 
-    Substitution is multiplicative, so each party's factor goes through
-    every stage of ``build.stages`` on its own, the same way for every
-    scheme.  The product of the evolved factors
-    (:func:`heraldnet.fock.product`) keeps a partial while no station holds
-    two photons and every station whose last feeding party is multiplied in
-    holds exactly one.
+    The product of the evolved party factors (:func:`heraldnet.fock.product`)
+    keeps a partial while no station holds two photons and every station
+    whose last feeding party is multiplied in holds exactly one.
     """
-    factors = [reduce(lambda state, stage: apply(stage, state), build.stages, f)
-               for f in build.parties]
-    stations = station_masks(build.spec)
-    # A tag packs a term's photon count in each station into a nibble, so tags
-    # add; ``doubled`` holds the bits of two or more photons in a nibble.
-    ones = sum(1 << BITS * s for s in range(len(stations)))
+    factors, tags, _ = _evolved_parties(build)
+    ones = _ones(BITS * len(build.spec.detector_stations))
     doubled = ones * (MAX_OCCUPATION - 1)
-    tags = [{k: t for k in f.amplitudes if not (t := sum(
-        photons(k & m) << BITS * s for s, m in enumerate(stations))) & doubled} for f in factors]
     # closed[j]: a one in the nibble of each station that no party after j feeds.
     fed = [reduce(or_, tag.values(), 0) for tag in tags]
     closed = [ones & ~reduce(or_, fed[j + 1:], 0) for j in range(len(tags))]
@@ -238,12 +273,161 @@ def analyze_patterns(build: SchemeBuild) -> list[PatternOutcome]:
     return outcomes
 
 
+def _last_feeder(footprints: list[int], unit: int) -> int:
+    """The last party whose footprint meets ``unit``.  A unit no party
+    reaches closes after party 0, where its condition then fails."""
+    return max((j for j, footprint in enumerate(footprints) if footprint & unit), default=0)
+
+
+def _merge(out: dict[int, complex], key: int, value: complex) -> None:
+    cur = out.get(key)
+    out[key] = value if cur is None else cancel_add(cur, value)
+
+
+def _join(state: dict[int, complex], local: dict[int, complex]) -> dict[int, complex]:
+    """Every sum of a key of ``state`` and a key of ``local``, with the
+    product of their values; like keys merge through
+    :func:`heraldnet.fock.cancel_add`."""
+    out: dict[int, complex] = {}
+    get = out.get
+    for key, v in state.items():
+        for step, u in local.items():
+            cur = get(joined := key + step)
+            out[joined] = v * u if cur is None else cancel_add(cur, v * u)
+    return out
+
+
+def _slots(pairs: tuple[tuple[Mode, Mode], ...]) -> list[tuple[int, int, int]]:
+    """Each (H, V) mode pair's packed mask, and the keys of one photon in its
+    H mode and in its V mode."""
+    return [((h | v) * MAX_OCCUPATION, h, v)
+            for h, v in ((1 << BITS * h.index, 1 << BITS * v.index) for h, v in pairs)]
+
+
+def _station_plan(spec: SchemeSpec, footprints: list[int]) -> list[tuple[int, set[int]]]:
+    """Per party, the packed mask of the stations whose last feeder it is,
+    and every key that puts exactly one photon in each of them."""
+    closing: list[list[tuple[int, int, int]]] = [[] for _ in footprints]
+    for station in _slots(spec.detector_stations):
+        closing[_last_feeder(footprints, station[0])].append(station)
+    return [(sum(mask for mask, _, _ in stations),
+             {sum(keys) for keys in itertools.product(*((h, v) for _, h, v in stations))})
+            for stations in closing]
+
+
+def _herald_probability(parties: list[list[tuple[int, complex]]], footprints: list[int],
+                        spec: SchemeSpec, plan: list[tuple[int, set[int]]]) -> float:
+    """P_hr by a density sweep over the modes more than one party reaches.
+
+    ``rho`` packs a ket key and a bra key over the open modes into one int,
+    the bra above ``width`` bits, so packed keys add.  Each party's private
+    modes are traced at once, with their k! weight; then the party joins
+    ``rho``, and every unit whose last feeder it is closes.  A station
+    closes as one unit, with one photon, the same in ket and bra; any other
+    mode with equal occupations in ket and bra, and their k! weight."""
+    width = BITS * len(spec.registry)
+    low = (1 << width) - 1
+    station_modes = sum(station_masks(spec))
+    seen = shared = 0
+    for footprint in footprints:
+        shared |= seen & footprint
+        seen |= footprint
+    opened = shared | station_modes
+    shared &= ~station_modes
+    settling = [0] * len(parties)
+    for i in range(0, shared.bit_length(), BITS):
+        if mode := shared & MAX_OCCUPATION << i:
+            settling[_last_feeder(footprints, mode)] |= mode
+
+    rho = {0: 1 + 0j}
+    for terms, footprint, (stations, clicks), settle in zip(parties, footprints, plan, settling):
+        private = footprint & ~opened
+        groups: dict[int, list[tuple[int, complex]]] = {}
+        for key, a in terms:
+            groups.setdefault(key & private, []).append((key & opened, a))
+        local: dict[int, complex] = {}
+        for part, group in groups.items():
+            w = _monomial_weight(part)
+            bras = [(bra << width, b.conjugate()) for bra, b in group]
+            for ket, a in group:
+                a *= w
+                for bra, b in bras:
+                    cur = local.get(key := ket | bra)
+                    local[key] = a * b if cur is None else cancel_add(cur, a * b)
+        shut = stations | settle
+        rest = ~(shut | shut << width)
+        grown, rho = _join(rho, {k: v for k, v in local.items() if v}), {}
+        for key, v in grown.items():
+            ket, bra = key & low, key >> width
+            if v and ket & stations in clicks and not (ket ^ bra) & shut:
+                _merge(rho, key & rest, v * _monomial_weight(ket & settle))
+    return rho.get(0, 0j).real
+
+
+def _branch_overlaps(parties: list[list[tuple[int, complex]]], footprints: list[int],
+                     spec: SchemeSpec,
+                     plan: list[tuple[int, set[int]]]) -> list[dict[int, complex]]:
+    """Per GHZ branch, each click signature's overlap with that branch
+    (its qubit on every retained pair, the environment in vacuum), by one
+    ket-only sweep per branch.
+
+    A term with a photon off the stations and retained pairs is dropped.
+    Station slots stay in the key as the click signature, and each station
+    must hold one photon after its last feeder.  Each retained pair is
+    projected on the branch qubit after its last feeder: at once for a pair
+    one party feeds, in the joined sweep for a pair two parties feed (in
+    ``sd``, e_iH and e_iV have different feeders)."""
+    pairs = _slots(spec.retained_pairs)
+    stray = ~(sum(station_masks(spec)) + sum(mask for mask, _, _ in pairs))
+    own: list[list[tuple[int, int, int]]] = [[] for _ in parties]
+    closing: list[list[tuple[int, int, int]]] = [[] for _ in parties]
+    for pair in pairs:
+        feeders = [j for j, footprint in enumerate(footprints) if footprint & pair[0]]
+        (own[feeders[0]] if len(feeders) == 1 else closing[max(feeders, default=0)]).append(pair)
+    steps = [(terms, mine, ~sum(mask for mask, _, _ in mine), shut,
+              ~sum(mask for mask, _, _ in shut), stations, clicks)
+             for terms, mine, shut, (stations, clicks) in zip(parties, own, closing, plan)]
+
+    def project(key: int, a: complex, on: list[tuple[int, int, int]]) -> complex:
+        for mask, h, v in on:
+            part = key & mask
+            a *= qh if part == h else qv if part == v else 0
+        return a
+
+    overlaps = []
+    for qh, qv in ((h.conjugate(), v.conjugate()) for h, v in spec.ghz_qubits):
+        state = {0: 1 + 0j}
+        for terms, mine, kept, shut, rest, stations, clicks in steps:
+            local: dict[int, complex] = {}
+            for key, a in terms:
+                if not key & stray and (a := project(key, a, mine)):
+                    _merge(local, key & kept, a)
+            grown, state = _join(state, local), {}
+            for key, v in grown.items():
+                if key & stations in clicks and (v := project(key, v, shut)):
+                    _merge(state, key & rest, v)
+        overlaps.append(state)
+    return overlaps
+
+
 def compute_metrics(build: SchemeBuild) -> Metrics:
-    outcomes = analyze_patterns(build)
+    """P_hr and P_suc by a ring contraction over the evolved party factors,
+    without the heralded ket.  P_suc takes each click signature's best
+    phase, 1/2 sum_p (|x_p| + |y_p|)^2, as :class:`PatternOutcome` does.
+    The sweeps add packed keys, so, as :func:`heraldnet.fock.product` does,
+    this raises ``ValueError`` past ``MAX_OCCUPATION`` photons in all (the
+    stages keep each term's photon count)."""
+    if sum(max(map(photons, f.amplitudes), default=0) for f in build.parties) > MAX_OCCUPATION:
+        raise ValueError(f"a monomial holds at most {MAX_OCCUPATION} photons")
+    factors, tags, footprints = _evolved_parties(build)
+    parties = [[(k, f.amplitudes[k]) for k in tag] for f, tag in zip(factors, tags)]
+    spec = build.spec
+    plan = _station_plan(spec, footprints)
+    x, y = _branch_overlaps(parties, footprints, spec, plan)
     return Metrics(
-        scheme=build.spec.scheme,
-        n_parties=build.spec.n_parties,
-        eta=build.spec.eta,
-        p_suc=sum(o.success_probability for o in outcomes),
-        p_hr=sum(o.probability for o in outcomes),
+        scheme=spec.scheme,
+        n_parties=spec.n_parties,
+        eta=spec.eta,
+        p_suc=0.5 * sum((abs(x.get(c, 0j)) + abs(y.get(c, 0j))) ** 2 for c in x.keys() | y.keys()),
+        p_hr=_herald_probability(parties, footprints, spec, plan),
     )

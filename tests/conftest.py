@@ -28,6 +28,7 @@ from heraldnet.fock import (
 from heraldnet.heralding import (
     Metrics,
     PatternOutcome,
+    analyze_patterns,
     compute_metrics,
     detection_ready_state,
     enumerate_patterns,
@@ -61,6 +62,13 @@ def without_c1_plate(build):
     c1 = {build.spec.registry.get("c1", p).index for p in ("H", "V")}
     stages = tuple(s for s in build.stages if set(s.columns) != c1)
     return build._replace(stages=stages)
+
+
+def ket_metrics(build):
+    """(P_hr, P_suc) from the heralded ket: the sums of every click
+    pattern's probability and best-phase success probability."""
+    outcomes = analyze_patterns(build)
+    return sum(o.probability for o in outcomes), sum(o.success_probability for o in outcomes)
 
 
 def heralded_part(build, state):

@@ -31,6 +31,7 @@ from heraldnet.heralding import UndefinedMetricError
 from heraldnet.schemes import SCHEMES, NetworkGeometry, eta_for_geometry
 
 ALPHA = 0.023
+SUBNORMAL_STEP = decimal.Decimal(math.ldexp(1.0, -1074))  # 4.94e-324, the smallest float
 
 
 class TestRateIdentities:
@@ -191,8 +192,12 @@ class TestAnyPartyCount:
                 value = forms[name](scheme, n, eta)
                 if isinstance(reference, float):
                     assert value == pytest.approx(reference, rel=1e-12), (name, scheme, eta)
+                elif reference >= SUBNORMAL_STEP:
+                    # a subnormal, to rel 1e-12 or to the last step where that is finer
+                    gap = abs(decimal.Decimal(value) - reference)
+                    assert value > 0.0 and gap <= max(reference * decimal.Decimal("1e-12"),
+                                                      SUBNORMAL_STEP), (name, scheme, eta)
                 else:
-                    # below the smallest normal float, and 0.0 where a power overflows
                     assert 0.0 <= value < sys.float_info.min, (name, scheme, eta)
 
 

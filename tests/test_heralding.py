@@ -2,14 +2,16 @@
 
 import dataclasses
 import math
+import time
 from functools import reduce
 
 import pytest
 
-from conftest import explicit_evolution, heralded_part, reference_outcomes, without_c1_plate
+from conftest import (explicit_evolution, heralded_part, ket_metrics, reference_outcomes,
+                      without_c1_plate)
 from heraldnet import heralding, schemes
-from heraldnet.analytic import closed_p_suc, exact_h_eff, exact_p_hr
-from heraldnet.fock import norm_squared, occupations, photons, product
+from heraldnet.analytic import closed_p_hr, closed_p_suc, exact_h_eff, exact_p_hr
+from heraldnet.fock import norm_squared, occupations, photons, product, with_photons
 from heraldnet.heralding import (
     ORACLE_MAX_PARTIES,
     Metrics,
@@ -26,6 +28,17 @@ from heraldnet.heralding import (
 )
 from heraldnet.optics import LinearMap, apply, compose_maps, half_wave_plate, merge_maps, pbs_hv
 from heraldnet.schemes import SCHEMES, SchemeBuild, build_bc, build_sc, build_scheme, build_sd
+
+
+def coupled_parties(build):
+    """``build`` (``bc`` or ``sc``) with a splitter between c1_H and c2_H
+    ahead of its loss stage: it puts both parties' photons in both modes,
+    so their factors share modes, environment modes included."""
+    registry = build.spec.registry
+    c1, c2 = (registry.get(f"c{i}", "H").index for i in (1, 2))
+    r = 1 / math.sqrt(2)
+    mix = LinearMap(registry, {c1: ((c1, r), (c2, r)), c2: ((c1, r), (c2, -r))})
+    return build._replace(stages=(*build.stages[:-2], mix, *build.stages[-2:]))
 
 
 class TestPatternEnumeration:
@@ -194,15 +207,8 @@ class TestDetectionPipeline:
         assert (seen["sizes"], len(ready)) == ([20, 192, 1792], 2048)
 
     def test_parties_coupled_before_the_last_stage_share_modes(self, monkeypatch):
-        # a splitter between c1_H and c2_H ahead of the circuit puts both
-        # parties' photons in both modes, so their factors share modes; the
-        # product of the factors is still the evolved state
-        build = build_bc(2, 0.9)
-        registry = build.spec.registry
-        c1, c2 = (registry.get(f"c{i}", "H").index for i in (1, 2))
-        r = 1 / math.sqrt(2)
-        mix = LinearMap(registry, {c1: ((c1, r), (c2, r)), c2: ((c1, r), (c2, -r))})
-        coupled = build._replace(stages=(mix,) + build.stages)
+        # the product of factors that share modes is still the evolved state
+        coupled = coupled_parties(build_bc(2, 0.9))
         _, seen, ready = self._trace(monkeypatch, coupled)
         first, second = ({i for k in f.amplitudes for i, _ in occupations(k)} for f in seen["factors"])
         assert first & second
@@ -257,17 +263,89 @@ class TestMetricValues:
         assert math.isclose(metrics.p_hr, exact_p_hr("sd", n, eta), rel_tol=1e-9)
 
     def test_five_party_central_scheme(self):
-        # the reach the herald-first last stage opens up (about 1 s)
         metrics = compute_metrics(build_sc(5, 0.9))
         assert math.isclose(metrics.p_suc, closed_p_suc("sc", 5, 0.9), rel_tol=1e-9)
         assert math.isclose(metrics.p_hr, exact_p_hr("sc", 5, 0.9), rel_tol=1e-9)
         assert math.isclose(metrics.h_eff, exact_h_eff("sc", 5, 0.9), rel_tol=1e-9)
 
     def test_six_party_ring_scheme(self):
-        # the reach the per-stage herald opens up (about 1 s)
         metrics = compute_metrics(build_sd(6, 0.9))
         assert math.isclose(metrics.p_suc, closed_p_suc("sd", 6, 0.9), rel_tol=1e-9)
         assert math.isclose(metrics.p_hr, exact_p_hr("sd", 6, 0.9), rel_tol=1e-9)
+
+
+class TestRingContraction:
+    ETAS = (1.0, 0.9, 0.7, 0.5, 0.3, 0.1, 0.01, 0.003, 1e-4, 0.0)
+
+    @staticmethod
+    def _assert_matches_ket(build):
+        metrics, (p_hr, p_suc) = compute_metrics(build), ket_metrics(build)
+        assert math.isclose(metrics.p_hr, p_hr, rel_tol=1e-12), (metrics.p_hr, p_hr)
+        assert math.isclose(metrics.p_suc, p_suc, rel_tol=1e-12), (metrics.p_suc, p_suc)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_the_heralded_ket(self, scheme, n):
+        for eta in self.ETAS:
+            self._assert_matches_ket(build_scheme(scheme, n, eta))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("eta", [1.0, 0.9, 0.3])
+    def test_edited_builds_match_the_heralded_ket(self, n, eta):
+        # P_suc is the best-phase sum, so a build without the c1 plate, sd
+        # measured in H/V and sd with its letters relabelled keep their
+        # meaning; coupled parties share environment modes, which close with
+        # their k! weight
+        sd = build_sd(n, eta)
+        relabelled = sd._replace(spec=dataclasses.replace(sd.spec, detection_basis="HV"))
+        for build in (without_c1_plate(build_bc(n, eta)), without_c1_plate(build_sc(n, eta)),
+                      TestBasisChange._canonical(sd), relabelled,
+                      coupled_parties(build_bc(n, eta)), coupled_parties(build_sc(n, eta))):
+            self._assert_matches_ket(build)
+
+    @pytest.mark.parametrize("eta", [1.0, 0.9, 0.3])
+    def test_private_modes_are_traced_with_their_weight(self, eta):
+        # an extra photon on b1_H puts two photons in a mode only party 1
+        # reaches, in heralded terms: the trace weighs them by 2!; with 5
+        # photons no term holds one photon per retained pair, so P_suc is 0
+        build = build_bc(2, eta)
+        b1 = build.spec.registry.get("b1", "H").index
+        extra = build._replace(parties=(with_photons(build.parties[0], {b1: 1}),
+                                        *build.parties[1:]))
+        metrics = compute_metrics(extra)
+        assert math.isclose(metrics.p_hr, ket_metrics(extra)[0], rel_tol=1e-12)
+        assert metrics.p_hr > compute_metrics(build).p_hr
+        assert metrics.p_suc == 0.0
+
+    @staticmethod
+    def _assert_matches_closed_forms(metrics):
+        scheme, n, eta = metrics.scheme, metrics.n_parties, metrics.eta
+        p_hr = (closed_p_hr if scheme == "bc" else exact_p_hr)(scheme, n, eta)
+        assert math.isclose(metrics.p_hr, p_hr, rel_tol=1e-12), (scheme, n, eta)
+        assert math.isclose(metrics.p_suc, closed_p_suc(scheme, n, eta), rel_tol=1e-12), (
+            scheme, n, eta)
+
+    def test_six_and_seven_parties_match_the_closed_forms(self):
+        # the heralded ket has about 8^N terms; the contraction never forms it
+        start = time.perf_counter()
+        for scheme in SCHEMES:
+            for n in (6, 7):
+                self._assert_matches_closed_forms(compute_metrics(build_scheme(scheme, n, 0.9)))
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_sixteen_photons_are_refused(self, scheme):
+        # the sweeps add packed keys, which hold at most 15 photons
+        with pytest.raises(ValueError, match="at most 15 photons"):
+            compute_metrics(build_scheme(scheme, 8, 0.9))
+
+    def test_no_heralded_ket_is_formed(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the heralded ket was formed")
+
+        for name in ("product", "detection_ready_state", "analyze_patterns"):
+            monkeypatch.setattr(heralding, name, refuse)
+        self._assert_matches_closed_forms(compute_metrics(build_scheme("sc", 7, 0.9)))
 
 
 class TestPatternOutcomes:
