@@ -10,11 +10,13 @@ All probabilities here are computed from the exact evolved amplitudes, never
 from closed-form shortcuts; the closed forms live in :mod:`.analytic` and
 the test-suite checks the two against each other.
 
-Two paths start from the same per-party evolution: :func:`compute_metrics`
-contracts the evolved party factors around the ring into P_hr and P_suc
-and never forms the heralded ket, while :func:`analyze_patterns` walks that
-ket (:func:`detection_ready_state`, about 8^N terms) for its per-pattern
-outcomes.
+One projection path serves every metric: :func:`compute_metrics` and
+:func:`analyze_patterns` both contract the evolved party factors around
+the ring, a density sweep for the herald probability and one ket-only
+sweep per GHZ branch for the amplitudes, and never form the heralded ket.
+:func:`detection_ready_state` still forms that ket (about 8^N terms) from
+the same per-party evolution; nothing here calls it, and the tests use it
+as the independent reference.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .fock import (
     _monomial_weight,
     _ones,
     cancel_add,
-    cancel_residue,
     inner_product,  # noqa: F401 - benchmarks/run.py --trace 1 times heralding.inner_product
     norm_squared,  # noqa: F401 - benchmarks/run.py --trace 1 times heralding.norm_squared
     pack,
@@ -43,13 +44,13 @@ from .fock import (
 from .optics import apply
 from .schemes import SchemeBuild, SchemeSpec
 
-# The drivers refuse networks past this size.  compute_metrics does not need
-# the cap: on 2 cores, Python 3.11, one fresh process per case, eta 0.9 and 0.5,
-# every scheme at N=6 or 7 takes 2 to 10 ms and 15 MB.  What it still bounds is
-# analyze_patterns' heralded ket, about 8^N terms (1,048,576 at sc N=7): at eta
-# 0.9, sc N=6 takes 0.8 s and 64 MB, sc N=7 7.4 s and 446 MB, sd N=6 0.26 s and
-# 36 MB, sd N=7 1.7 s and 151 MB.  At N=8 every scheme has 16 photons, more than
-# a packed key holds (MAX_OCCUPATION), so every path refuses it.
+# The drivers refuse networks past this size.  Nothing here forms the heralded
+# ket any more: on 2 cores, Python 3.11, one fresh process per case, every
+# scheme's compute_metrics at N=6 or 7 takes 2 to 10 ms and 15 MB (eta 0.9 and
+# 0.5), and analyze_patterns at N=7 and eta 0.9 under 0.1 s and 21 MB.
+# What refuses N=8 is the sweeps' guard on 15 photons in all (_contraction):
+# every scheme has 16 there, although a packed key holds 15 photons per mode
+# (MAX_OCCUPATION), not 15 in all.
 ORACLE_MAX_PARTIES = 7
 
 
@@ -123,7 +124,8 @@ def _evolved_parties(build: SchemeBuild) -> tuple[list[PhotonicState], list[dict
 
 
 def detection_ready_state(build: SchemeBuild) -> PhotonicState:
-    """The heralded part of the evolved state, of squared norm P_hr.
+    """The heralded part of the evolved state, of squared norm P_hr: the
+    tests' reference for the contraction, about 8^N terms.
 
     The product of the evolved party factors (:func:`heraldnet.fock.product`)
     keeps a partial while no station holds two photons and every station
@@ -174,7 +176,7 @@ class PatternOutcome:
         """Relative phase between the two GHZ branches, in [0, 2 pi).
 
         A branch is absent only when its amplitude is an exact zero, which
-        is what :func:`heraldnet.fock.cancel_residue` gives for a
+        is what :func:`heraldnet.fock.cancel_add` gives for a
         cancellation.
         """
         x, y = self.ghz_amplitudes
@@ -212,65 +214,6 @@ class Metrics:
                 "heralding efficiency undefined: herald probability is zero"
             )
         return self.p_suc / self.p_hr
-
-
-def analyze_patterns(build: SchemeBuild) -> list[PatternOutcome]:
-    """One walk over the ready state, accumulated per click signature (the
-    key's detector bits) in the state's order.  A heralded key's weight,
-    environment photon count and GHZ branch amplitudes are those of its part
-    off the detectors, found once per part; each GHZ amplitude sums
-    conj(branch) * amplitude * weight as :func:`heraldnet.fock.inner_product`
-    does, and a sum that cancels to residue is an exact zero."""
-    spec = build.spec
-    env_mask = pack(dict.fromkeys((m.index for m in spec.environment_modes), MAX_OCCUPATION))
-    off_detectors = ~sum(station_masks(spec))
-    slots = [(BITS * h.index, BITS * v.index) for h, v in spec.retained_pairs]
-    (xh, xv), (yh, yv) = spec.ghz_qubits
-
-    def branches(part: int) -> tuple[tuple[int, complex], ...]:
-        # Each nonzero GHZ branch amplitude of ``part`` with its slot in the
-        # sums: a product of one qubit per retained pair, in pair order, on a
-        # part that holds one photon per pair.  A heralded key's part holds n
-        # of its 2n photons, so one per pair leaves none elsewhere.
-        x = y = 1 + 0j
-        for h, v in slots:
-            if part >> h & MAX_OCCUPATION:
-                x, y = x * xh, y * yh
-            elif part >> v & MAX_OCCUPATION:
-                x, y = x * xv, y * yv
-            else:
-                return ()
-        return tuple((i, g) for i, g in ((2, x), (4, y)) if g)
-
-    parts: dict[int, tuple[float, int, tuple[tuple[int, complex], ...]]] = {}
-    # Per signature: probability, histogram, and each GHZ amplitude with its terms' magnitudes.
-    sums: dict[int, list] = {}
-    for key, amp in detection_ready_state(build).amplitudes.items():
-        part = key & off_detectors
-        facts = parts.get(part)
-        if facts is None:
-            facts = parts[part] = (_monomial_weight(part), photons(part & env_mask), branches(part))
-        w, env_total, ghz = facts
-        acc = sums.get(key ^ part)
-        if acc is None:
-            acc = sums[key ^ part] = [0.0, {}, 0j, 0.0, 0j, 0.0]
-        weight = abs(amp) ** 2 * w
-        acc[0] += weight
-        acc[1][env_total] = acc[1].get(env_total, 0.0) + weight
-        for i, g in ghz:
-            term = g.conjugate() * amp * w
-            acc[i] += term
-            acc[i + 1] += abs(term)
-
-    outcomes = []
-    for pattern in enumerate_patterns(spec.n_parties, spec.detection_basis):
-        clicks = pack({station[spec.detection_basis.index(c)].index: 1
-                       for station, c in zip(spec.detector_stations, pattern)})
-        probability, histogram, x, x_scale, y, y_scale = sums.get(clicks, (0.0, {}, 0j, 0, 0j, 0))
-        outcomes.append(PatternOutcome(pattern, probability,
-                                       (cancel_residue(x, x_scale), cancel_residue(y, y_scale)),
-                                       tuple(sorted(histogram.items()))))
-    return outcomes
 
 
 def _last_feeder(footprints: list[int], unit: int) -> int:
@@ -315,16 +258,21 @@ def _station_plan(spec: SchemeSpec, footprints: list[int]) -> list[tuple[int, se
             for stations in closing]
 
 
-def _herald_probability(parties: list[list[tuple[int, complex]]], footprints: list[int],
-                        spec: SchemeSpec, plan: list[tuple[int, set[int]]]) -> float:
-    """P_hr by a density sweep over the modes more than one party reaches.
+def _density(parties: list[list[tuple[int, complex]]], footprints: list[int], spec: SchemeSpec,
+             plan: list[tuple[int, set[int]]], signature: int = 0,
+             counted: int = 0) -> dict[int, complex]:
+    """The herald density by a sweep over the modes more than one party
+    reaches: with no ``signature`` and no ``counted`` modes, one entry at
+    key 0 whose real part is P_hr.
 
     ``rho`` packs a ket key and a bra key over the open modes into one int,
-    the bra above ``width`` bits, so packed keys add.  Each party's private
-    modes are traced at once, with their k! weight; then the party joins
-    ``rho``, and every unit whose last feeder it is closes.  A station
-    closes as one unit, with one photon, the same in ket and bra; any other
-    mode with equal occupations in ket and bra, and their k! weight."""
+    the bra above ``width`` bits and, above ``2 * width`` bits, the number of
+    photons traced out of the ``counted`` modes, so packed keys add.  Each
+    party's private modes are traced at once, with their k! weight; then the
+    party joins ``rho``, and every unit whose last feeder it is closes.  A
+    station closes as one unit, with one photon, the same in ket and bra,
+    and its slots in ``signature`` stay in the ket key; any other mode
+    closes with equal occupations in ket and bra, and their k! weight."""
     width = BITS * len(spec.registry)
     low = (1 << width) - 1
     station_modes = sum(station_masks(spec))
@@ -348,20 +296,24 @@ def _herald_probability(parties: list[list[tuple[int, complex]]], footprints: li
         local: dict[int, complex] = {}
         for part, group in groups.items():
             w = _monomial_weight(part)
-            bras = [(bra << width, b.conjugate()) for bra, b in group]
+            lost = photons(part & counted) << 2 * width if counted else 0
+            bras = [(bra << width | lost, b.conjugate()) for bra, b in group]
             for ket, a in group:
                 a *= w
                 for bra, b in bras:
                     cur = local.get(key := ket | bra)
                     local[key] = a * b if cur is None else cancel_add(cur, a * b)
         shut = stations | settle
-        rest = ~(shut | shut << width)
+        rest = ~(shut & ~signature | shut << width)
+        losing = settle & counted
         grown, rho = _join(rho, {k: v for k, v in local.items() if v}), {}
         for key, v in grown.items():
             ket, bra = key & low, key >> width
             if v and ket & stations in clicks and not (ket ^ bra) & shut:
+                if losing:
+                    key += photons(ket & losing) << 2 * width
                 _merge(rho, key & rest, v * _monomial_weight(ket & settle))
-    return rho.get(0, 0j).real
+    return rho
 
 
 def _branch_overlaps(parties: list[list[tuple[int, complex]]], footprints: list[int],
@@ -410,24 +362,58 @@ def _branch_overlaps(parties: list[list[tuple[int, complex]]], footprints: list[
     return overlaps
 
 
-def compute_metrics(build: SchemeBuild) -> Metrics:
-    """P_hr and P_suc by a ring contraction over the evolved party factors,
-    without the heralded ket.  P_suc takes each click signature's best
-    phase, 1/2 sum_p (|x_p| + |y_p|)^2, as :class:`PatternOutcome` does.
-    The sweeps add packed keys, so, as :func:`heraldnet.fock.product` does,
-    this raises ``ValueError`` past ``MAX_OCCUPATION`` photons in all (the
-    stages keep each term's photon count)."""
+def _contraction(build: SchemeBuild) -> tuple[list[list[tuple[int, complex]]], list[int],
+                                              SchemeSpec, list[tuple[int, set[int]]]]:
+    """What both sweeps take: each party's heralding terms, the footprints,
+    the spec and the station plan.  The sweeps add packed keys, so, as
+    :func:`heraldnet.fock.product` does, this raises ``ValueError`` past
+    ``MAX_OCCUPATION`` photons in all (the stages keep each term's photon
+    count)."""
     if sum(max(map(photons, f.amplitudes), default=0) for f in build.parties) > MAX_OCCUPATION:
         raise ValueError(f"a monomial holds at most {MAX_OCCUPATION} photons")
     factors, tags, footprints = _evolved_parties(build)
     parties = [[(k, f.amplitudes[k]) for k in tag] for f, tag in zip(factors, tags)]
+    return parties, footprints, build.spec, _station_plan(build.spec, footprints)
+
+
+def compute_metrics(build: SchemeBuild) -> Metrics:
+    """P_hr and P_suc by a ring contraction over the evolved party factors,
+    without the heralded ket.  P_suc takes each click signature's best
+    phase, 1/2 sum_p (|x_p| + |y_p|)^2, as :class:`PatternOutcome` does."""
+    contraction = _contraction(build)
+    x, y = _branch_overlaps(*contraction)
     spec = build.spec
-    plan = _station_plan(spec, footprints)
-    x, y = _branch_overlaps(parties, footprints, spec, plan)
     return Metrics(
         scheme=spec.scheme,
         n_parties=spec.n_parties,
         eta=spec.eta,
         p_suc=0.5 * sum((abs(x.get(c, 0j)) + abs(y.get(c, 0j))) ** 2 for c in x.keys() | y.keys()),
-        p_hr=_herald_probability(parties, footprints, spec, plan),
+        p_hr=_density(*contraction).get(0, 0j).real,
     )
+
+
+def analyze_patterns(build: SchemeBuild) -> list[PatternOutcome]:
+    """Every click pattern's outcome from the same contraction as
+    :func:`compute_metrics`.  The GHZ amplitudes are the branch sweeps'
+    overlaps at the pattern's click signature; the probability and the
+    environment histogram come from the herald density with the station
+    slots kept in the ket key as the signature and the environment photons
+    counted.  An entry that cancels to an exact zero is no histogram key."""
+    contraction = _contraction(build)
+    x, y = _branch_overlaps(*contraction)
+    spec = build.spec
+    width = BITS * len(spec.registry)
+    env = pack(dict.fromkeys((m.index for m in spec.environment_modes), MAX_OCCUPATION))
+    histograms: dict[int, dict[int, float]] = {}
+    for key, v in _density(*contraction, sum(station_masks(spec)), env).items():
+        if v:
+            histograms.setdefault(key & (1 << width) - 1, {})[key >> 2 * width] = v.real
+    outcomes = []
+    for pattern in enumerate_patterns(spec.n_parties, spec.detection_basis):
+        clicks = pack({station[spec.detection_basis.index(c)].index: 1
+                       for station, c in zip(spec.detector_stations, pattern)})
+        histogram = histograms.get(clicks, {})
+        outcomes.append(PatternOutcome(pattern, math.fsum(histogram.values()),
+                                       (x.get(clicks, 0j), y.get(clicks, 0j)),
+                                       tuple(sorted(histogram.items()))))
+    return outcomes

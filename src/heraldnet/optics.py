@@ -82,7 +82,9 @@ def merge_maps(maps: Sequence[LinearMap]) -> LinearMap:
 
 
 def compose_maps(first: LinearMap, second: LinearMap) -> LinearMap:
-    """Map equivalent to applying ``first`` then ``second``."""
+    """Map equivalent to applying ``first`` then ``second``.  Like outputs
+    merge through :func:`heraldnet.fock.cancel_add`, and exact zeros are
+    dropped, so a cancellation leaves no entry."""
     if first.registry is not second.registry:
         raise RegistryError("cannot compose maps from different registries")
     columns: dict[int, Column] = {}
@@ -93,8 +95,9 @@ def compose_maps(first: LinearMap, second: LinearMap) -> LinearMap:
         for mid, c1 in col1:
             col2 = second.columns.get(mid, ((mid, 1.0 + 0j),))
             for out, c2 in col2:
-                acc[out] = acc.get(out, 0j) + c1 * c2
-        columns[idx] = tuple(sorted(acc.items()))
+                cur = acc.get(out)
+                acc[out] = c1 * c2 if cur is None else cancel_add(cur, c1 * c2)
+        columns[idx] = _prune_column(sorted(acc.items()))
     return LinearMap(first.registry, columns)
 
 

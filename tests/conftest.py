@@ -28,7 +28,6 @@ from heraldnet.fock import (
 from heraldnet.heralding import (
     Metrics,
     PatternOutcome,
-    analyze_patterns,
     compute_metrics,
     detection_ready_state,
     enumerate_patterns,
@@ -66,8 +65,10 @@ def without_c1_plate(build):
 
 def ket_metrics(build):
     """(P_hr, P_suc) from the heralded ket: the sums of every click
-    pattern's probability and best-phase success probability."""
-    outcomes = analyze_patterns(build)
+    pattern's probability and best-phase success probability in
+    :func:`reference_outcomes`, which shares no projection code with the
+    contraction behind ``compute_metrics`` and ``analyze_patterns``."""
+    outcomes = reference_outcomes(build)
     return sum(o.probability for o in outcomes), sum(o.success_probability for o in outcomes)
 
 
@@ -92,12 +93,12 @@ def ghz_strings(spec):
 
 
 def reference_outcomes(build):
-    """Every click pattern's outcome from the ready state, the straightforward
-    way: each pattern's keys as a ``PhotonicState``, overlaps with the GHZ
-    strings plus the clicks by ``inner_product``, and the probability and
-    the histogram in key order.  Each string is taken on the pattern's keys
-    only, in their order, so that ``inner_product`` walks them as the
-    analysis does."""
+    """Every click pattern's outcome from the heralded ket
+    (``detection_ready_state``), the straightforward way: each pattern's
+    keys as a ``PhotonicState``, overlaps with the GHZ strings plus the
+    clicks by ``inner_product``, and the probability and the histogram in
+    key order.  Each string is taken on the pattern's keys only, in their
+    order, so that ``inner_product`` walks them in the ket's order."""
     spec = build.spec
     detector_mask = sum(station_masks(spec))
     env_mask = pack(dict.fromkeys((m.index for m in spec.environment_modes), MAX_OCCUPATION))

@@ -1,5 +1,6 @@
 """Tests for click-pattern analysis and the heralded metrics."""
 
+import cmath
 import dataclasses
 import math
 import time
@@ -316,6 +317,11 @@ class TestRingContraction:
         assert math.isclose(metrics.p_hr, ket_metrics(extra)[0], rel_tol=1e-12)
         assert metrics.p_hr > compute_metrics(build).p_hr
         assert metrics.p_suc == 0.0
+        # per pattern too: no GHZ amplitude survives, and the traced weight
+        # is the herald's
+        outcomes = analyze_patterns(extra)
+        assert sum(o.success_probability for o in outcomes) == 0.0
+        assert math.isclose(sum(o.probability for o in outcomes), metrics.p_hr, rel_tol=1e-12)
 
     @staticmethod
     def _assert_matches_closed_forms(metrics):
@@ -335,30 +341,64 @@ class TestRingContraction:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_sixteen_photons_are_refused(self, scheme):
-        # the sweeps add packed keys, which hold at most 15 photons
-        with pytest.raises(ValueError, match="at most 15 photons"):
-            compute_metrics(build_scheme(scheme, 8, 0.9))
+        # the sweeps add packed keys, and a guard refuses more than 15 photons in all
+        for run in (compute_metrics, analyze_patterns):
+            with pytest.raises(ValueError, match="at most 15 photons"):
+                run(build_scheme(scheme, 8, 0.9))
 
     def test_no_heralded_ket_is_formed(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the heralded ket was formed")
 
-        for name in ("product", "detection_ready_state", "analyze_patterns"):
+        for name in ("product", "detection_ready_state"):
             monkeypatch.setattr(heralding, name, refuse)
-        self._assert_matches_closed_forms(compute_metrics(build_scheme("sc", 7, 0.9)))
+        build = build_scheme("sc", 7, 0.9)
+        metrics = compute_metrics(build)
+        self._assert_matches_closed_forms(metrics)
+        outcomes = analyze_patterns(build)
+        assert len(outcomes) == 2**7
+        assert math.isclose(sum(o.probability for o in outcomes), metrics.p_hr, rel_tol=1e-12)
+        assert math.isclose(sum(o.success_probability for o in outcomes), metrics.p_suc,
+                            rel_tol=1e-12)
+        monkeypatch.setattr(heralding, "analyze_patterns", refuse)
+        self._assert_matches_closed_forms(compute_metrics(build))
 
 
 class TestPatternOutcomes:
+    @staticmethod
+    def _assert_matches_reference(build):
+        # close, not equal: the contraction sums the same products in another
+        # order than the heralded ket; the patterns and their order, the exact
+        # zeros and the histogram keys are the same
+        outcomes, expected = analyze_patterns(build), reference_outcomes(build)
+        assert [o.pattern for o in outcomes] == [e.pattern for e in expected]
+        for got, want in zip(outcomes, expected):
+            assert ([k for k, _ in got.environment_histogram]
+                    == [k for k, _ in want.environment_histogram]), got.pattern
+            pairs = [(got.probability, want.probability),
+                     *zip(got.ghz_amplitudes, want.ghz_amplitudes),
+                     *((a, b) for (_, a), (_, b) in zip(got.environment_histogram,
+                                                        want.environment_histogram))]
+            for a, b in pairs:
+                assert (a == 0) == (b == 0) and cmath.isclose(a, b, rel_tol=1e-12), (
+                    got.pattern, a, b)
+
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("eta", [1.0, 0.9, 0.3, 0.0])
     def test_outcomes_equal_the_straightforward_analysis(self, scheme, n, eta):
-        # equal, not close: the same products summed in the same order (repr
-        # also tells a negative zero from a zero)
-        build = build_scheme(scheme, n, eta)
-        outcomes, expected = analyze_patterns(build), reference_outcomes(build)
-        assert outcomes == expected
-        assert repr(outcomes) == repr(expected)
+        self._assert_matches_reference(build_scheme(scheme, n, eta))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("eta", [1.0, 0.9, 0.3])
+    def test_edited_builds_equal_the_straightforward_analysis(self, n, eta):
+        # coupled parties share environment modes, whose lost photons the
+        # histogram counts where they settle
+        sd = build_sd(n, eta)
+        for build in (coupled_parties(build_bc(n, eta)), coupled_parties(build_sc(n, eta)),
+                      TestBasisChange._canonical(sd), without_c1_plate(build_bc(n, eta)),
+                      without_c1_plate(build_sc(n, eta))):
+            self._assert_matches_reference(build)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("n", [2, 3])

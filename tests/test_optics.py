@@ -188,6 +188,19 @@ def test_compose_matches_sequential_application():
     assert amplitudes(apply(fused, state)) == pytest.approx(amplitudes(sequential))
 
 
+def test_composed_cancellation_leaves_no_entry():
+    # the plate twice is the identity: its cross terms cancel to exact zeros,
+    # which would widen the map's outputs if they were kept
+    _, pairs, _ = make_registry()
+    h, v = pairs["d1"]
+    plate = half_wave_plate((h, v))
+    twice = compose_maps(plate, plate)
+    assert twice.columns.keys() == {h.index, v.index}
+    for i, col in twice.columns.items():
+        ((out, c),) = col
+        assert out == i and c == pytest.approx(1.0, abs=1e-15)
+
+
 def test_collision_with_occupied_unmapped_output():
     r, pairs, _ = make_registry()
     a, b = pairs["a1"][0], pairs["b1"][0]
