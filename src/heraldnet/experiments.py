@@ -45,9 +45,9 @@ def fmt(value: float) -> str:
 
 
 def agrees(analytic: float, simulated: float) -> bool:
-    """The verify criterion: equal to a relative ``VERIFY_TOL``, with a
-    1e-18 absolute floor so that exact zeros match."""
-    return math.isclose(analytic, simulated, rel_tol=VERIFY_TOL, abs_tol=1e-18)
+    """The verify criterion: equal to a relative ``VERIFY_TOL``, with no
+    absolute floor to hide a tiny value's error; exact zeros are equal."""
+    return math.isclose(analytic, simulated, rel_tol=VERIFY_TOL)
 
 
 def pool_size(requested: int, n_jobs: int, cpus: int | None) -> int:

@@ -11,10 +11,12 @@ from closed-form shortcuts; the closed forms live in :mod:`.analytic` and
 the test-suite checks the two against each other.
 
 One projection path serves every metric: :func:`compute_metrics` and
-:func:`analyze_patterns` both contract the evolved party factors around
-the ring, a density sweep for the herald probability and one ket-only
-sweep per GHZ branch for the amplitudes, and never form the heralded ket.
-:func:`detection_ready_state` still forms that ket (about 8^N terms) from
+:func:`analyze_patterns` contract the evolved party factors around the
+ring, a density sweep for the herald probability and one ket-only sweep
+per GHZ branch for the amplitudes.  Both sweeps read one per-party closing
+plan: each detector station, each other mode that several parties reach
+and each retained pair closes right after the last party that reaches it.
+:func:`detection_ready_state` forms the heralded ket (about 8^N terms) from
 the same per-party evolution; nothing here calls it, and the tests use it
 as the independent reference.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
@@ -210,16 +213,10 @@ class Metrics:
     @property
     def h_eff(self) -> float:
         if self.p_hr <= 0.0:
-            raise UndefinedMetricError(
-                "heralding efficiency undefined: herald probability is zero"
-            )
+            raise UndefinedMetricError("heralding efficiency undefined: herald probability is zero")
+        if any(0.0 < p < sys.float_info.min for p in (self.p_hr, self.p_suc)):
+            raise UndefinedMetricError("heralding efficiency undefined: a probability is subnormal")
         return self.p_suc / self.p_hr
-
-
-def _last_feeder(footprints: list[int], unit: int) -> int:
-    """The last party whose footprint meets ``unit``.  A unit no party
-    reaches closes after party 0, where its condition then fails."""
-    return max((j for j, footprint in enumerate(footprints) if footprint & unit), default=0)
 
 
 def _merge(out: dict[int, complex], key: int, value: complex) -> None:
@@ -247,52 +244,56 @@ def _slots(pairs: tuple[tuple[Mode, Mode], ...]) -> list[tuple[int, int, int]]:
             for h, v in ((1 << BITS * h.index, 1 << BITS * v.index) for h, v in pairs)]
 
 
-def _station_plan(spec: SchemeSpec, footprints: list[int]) -> list[tuple[int, set[int]]]:
-    """Per party, the packed mask of the stations whose last feeder it is,
-    and every key that puts exactly one photon in each of them."""
-    closing: list[list[tuple[int, int, int]]] = [[] for _ in footprints]
-    for station in _slots(spec.detector_stations):
-        closing[_last_feeder(footprints, station[0])].append(station)
-    return [(sum(mask for mask, _, _ in stations),
-             {sum(keys) for keys in itertools.product(*((h, v) for _, h, v in stations))})
-            for stations in closing]
+def _contraction(build: SchemeBuild) -> list[tuple]:
+    """The closing plan both sweeps read, one step per party: its heralding
+    terms; its private modes, which no other party and no station reaches;
+    the packed mask of the stations it closes and every key that puts one
+    photon in each; the other modes it settles as the last of several
+    parties to reach them; the retained pairs only it feeds; and those with
+    several feeders that it closes.  A unit no party reaches closes after
+    party 0, where its condition fails.  The sweeps add packed keys, so, as
+    :func:`heraldnet.fock.product` does, this raises ``ValueError`` past
+    ``MAX_OCCUPATION`` photons in all."""
+    if sum(max(map(photons, f.amplitudes), default=0) for f in build.parties) > MAX_OCCUPATION:
+        raise ValueError(f"a monomial holds at most {MAX_OCCUPATION} photons")
+    factors, tags, footprints = _evolved_parties(build)
+    stations, pairs = _slots(build.spec.detector_stations), _slots(build.spec.retained_pairs)
+    station_modes = sum(mask for mask, _, _ in stations)
+    steps = []
+    for j, (factor, tag, footprint) in enumerate(zip(factors, tags, footprints)):
+        earlier, later = reduce(or_, footprints[:j], 0), reduce(or_, footprints[j + 1:], 0)
+        # A station or pair closes here if no later party reaches it, and this one does.
+        closing, closed = ([s for s in slots if not s[0] & later and (s[0] & footprint or not j)]
+                           for slots in (stations, pairs))
+        lone = [p for p in closed if p[0] & footprint and not p[0] & earlier]
+        steps.append(([(k, factor.amplitudes[k]) for k in tag],
+                      footprint & ~(earlier | later | station_modes),
+                      sum(mask for mask, _, _ in closing),
+                      {sum(keys) for keys in itertools.product(*((h, v) for _, h, v in closing))},
+                      footprint & earlier & ~later & ~station_modes,
+                      lone, [p for p in closed if p not in lone]))
+    return steps
 
 
-def _density(parties: list[list[tuple[int, complex]]], footprints: list[int], spec: SchemeSpec,
-             plan: list[tuple[int, set[int]]], signature: int = 0,
+def _density(steps: list[tuple], width: int, signature: int = 0,
              counted: int = 0) -> dict[int, complex]:
-    """The herald density by a sweep over the modes more than one party
-    reaches: with no ``signature`` and no ``counted`` modes, one entry at
-    key 0 whose real part is P_hr.
+    """The herald density by a sweep over the steps of :func:`_contraction`:
+    with no ``signature`` and no ``counted`` modes, one entry at key 0 whose
+    real part is P_hr.
 
     ``rho`` packs a ket key and a bra key over the open modes into one int,
     the bra above ``width`` bits and, above ``2 * width`` bits, the number of
-    photons traced out of the ``counted`` modes, so packed keys add.  Each
-    party's private modes are traced at once, with their k! weight; then the
-    party joins ``rho``, and every unit whose last feeder it is closes.  A
-    station closes as one unit, with one photon, the same in ket and bra,
-    and its slots in ``signature`` stay in the ket key; any other mode
-    closes with equal occupations in ket and bra, and their k! weight."""
-    width = BITS * len(spec.registry)
+    photons traced out of the ``counted`` modes, so packed keys add.
+    Private modes are traced, with their k! weight, before the join.  A
+    station closes with one photon, the same in ket and bra, its slots in
+    ``signature`` kept in the ket key; a settled mode closes with equal
+    occupations in ket and bra, and their k! weight."""
     low = (1 << width) - 1
-    station_modes = sum(station_masks(spec))
-    seen = shared = 0
-    for footprint in footprints:
-        shared |= seen & footprint
-        seen |= footprint
-    opened = shared | station_modes
-    shared &= ~station_modes
-    settling = [0] * len(parties)
-    for i in range(0, shared.bit_length(), BITS):
-        if mode := shared & MAX_OCCUPATION << i:
-            settling[_last_feeder(footprints, mode)] |= mode
-
     rho = {0: 1 + 0j}
-    for terms, footprint, (stations, clicks), settle in zip(parties, footprints, plan, settling):
-        private = footprint & ~opened
+    for terms, private, stations, clicks, settle, _, _ in steps:
         groups: dict[int, list[tuple[int, complex]]] = {}
         for key, a in terms:
-            groups.setdefault(key & private, []).append((key & opened, a))
+            groups.setdefault(key & private, []).append((key & ~private, a))
         local: dict[int, complex] = {}
         for part, group in groups.items():
             w = _monomial_weight(part)
@@ -316,29 +317,14 @@ def _density(parties: list[list[tuple[int, complex]]], footprints: list[int], sp
     return rho
 
 
-def _branch_overlaps(parties: list[list[tuple[int, complex]]], footprints: list[int],
-                     spec: SchemeSpec,
-                     plan: list[tuple[int, set[int]]]) -> list[dict[int, complex]]:
+def _branch_overlaps(steps: list[tuple], spec: SchemeSpec) -> list[dict[int, complex]]:
     """Per GHZ branch, each click signature's overlap with that branch
     (its qubit on every retained pair, the environment in vacuum), by one
-    ket-only sweep per branch.
-
-    A term with a photon off the stations and retained pairs is dropped.
-    Station slots stay in the key as the click signature, and each station
-    must hold one photon after its last feeder.  Each retained pair is
-    projected on the branch qubit after its last feeder: at once for a pair
-    one party feeds, in the joined sweep for a pair two parties feed (in
-    ``sd``, e_iH and e_iV have different feeders)."""
-    pairs = _slots(spec.retained_pairs)
-    stray = ~(sum(station_masks(spec)) + sum(mask for mask, _, _ in pairs))
-    own: list[list[tuple[int, int, int]]] = [[] for _ in parties]
-    closing: list[list[tuple[int, int, int]]] = [[] for _ in parties]
-    for pair in pairs:
-        feeders = [j for j, footprint in enumerate(footprints) if footprint & pair[0]]
-        (own[feeders[0]] if len(feeders) == 1 else closing[max(feeders, default=0)]).append(pair)
-    steps = [(terms, mine, ~sum(mask for mask, _, _ in mine), shut,
-              ~sum(mask for mask, _, _ in shut), stations, clicks)
-             for terms, mine, shut, (stations, clicks) in zip(parties, own, closing, plan)]
+    ket-only sweep per branch over the steps of :func:`_contraction`.  A
+    term with a photon off the stations and retained pairs is dropped, and
+    station slots stay in the key as the click signature."""
+    stray = ~sum(stations + sum(mask for mask, _, _ in own + shut)
+                 for _, _, stations, _, _, own, shut in steps)
 
     def project(key: int, a: complex, on: list[tuple[int, int, int]]) -> complex:
         for mask, h, v in on:
@@ -349,10 +335,11 @@ def _branch_overlaps(parties: list[list[tuple[int, complex]]], footprints: list[
     overlaps = []
     for qh, qv in ((h.conjugate(), v.conjugate()) for h, v in spec.ghz_qubits):
         state = {0: 1 + 0j}
-        for terms, mine, kept, shut, rest, stations, clicks in steps:
+        for terms, _, stations, clicks, _, own, shut in steps:
+            kept, rest = ~sum(mask for mask, _, _ in own), ~sum(mask for mask, _, _ in shut)
             local: dict[int, complex] = {}
             for key, a in terms:
-                if not key & stray and (a := project(key, a, mine)):
+                if not key & stray and (a := project(key, a, own)):
                     _merge(local, key & kept, a)
             grown, state = _join(state, local), {}
             for key, v in grown.items():
@@ -362,33 +349,19 @@ def _branch_overlaps(parties: list[list[tuple[int, complex]]], footprints: list[
     return overlaps
 
 
-def _contraction(build: SchemeBuild) -> tuple[list[list[tuple[int, complex]]], list[int],
-                                              SchemeSpec, list[tuple[int, set[int]]]]:
-    """What both sweeps take: each party's heralding terms, the footprints,
-    the spec and the station plan.  The sweeps add packed keys, so, as
-    :func:`heraldnet.fock.product` does, this raises ``ValueError`` past
-    ``MAX_OCCUPATION`` photons in all (the stages keep each term's photon
-    count)."""
-    if sum(max(map(photons, f.amplitudes), default=0) for f in build.parties) > MAX_OCCUPATION:
-        raise ValueError(f"a monomial holds at most {MAX_OCCUPATION} photons")
-    factors, tags, footprints = _evolved_parties(build)
-    parties = [[(k, f.amplitudes[k]) for k in tag] for f, tag in zip(factors, tags)]
-    return parties, footprints, build.spec, _station_plan(build.spec, footprints)
-
-
 def compute_metrics(build: SchemeBuild) -> Metrics:
     """P_hr and P_suc by a ring contraction over the evolved party factors,
     without the heralded ket.  P_suc takes each click signature's best
     phase, 1/2 sum_p (|x_p| + |y_p|)^2, as :class:`PatternOutcome` does."""
-    contraction = _contraction(build)
-    x, y = _branch_overlaps(*contraction)
     spec = build.spec
+    steps = _contraction(build)
+    x, y = _branch_overlaps(steps, spec)
     return Metrics(
         scheme=spec.scheme,
         n_parties=spec.n_parties,
         eta=spec.eta,
         p_suc=0.5 * sum((abs(x.get(c, 0j)) + abs(y.get(c, 0j))) ** 2 for c in x.keys() | y.keys()),
-        p_hr=_density(*contraction).get(0, 0j).real,
+        p_hr=_density(steps, BITS * len(spec.registry)).get(0, 0j).real,
     )
 
 
@@ -399,13 +372,13 @@ def analyze_patterns(build: SchemeBuild) -> list[PatternOutcome]:
     environment histogram come from the herald density with the station
     slots kept in the ket key as the signature and the environment photons
     counted.  An entry that cancels to an exact zero is no histogram key."""
-    contraction = _contraction(build)
-    x, y = _branch_overlaps(*contraction)
     spec = build.spec
+    steps = _contraction(build)
+    x, y = _branch_overlaps(steps, spec)
     width = BITS * len(spec.registry)
     env = pack(dict.fromkeys((m.index for m in spec.environment_modes), MAX_OCCUPATION))
     histograms: dict[int, dict[int, float]] = {}
-    for key, v in _density(*contraction, sum(station_masks(spec)), env).items():
+    for key, v in _density(steps, width, sum(station_masks(spec)), env).items():
         if v:
             histograms.setdefault(key & (1 << width) - 1, {})[key >> 2 * width] = v.real
     outcomes = []

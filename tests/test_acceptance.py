@@ -36,9 +36,9 @@ from heraldnet.optics import is_isometry
 from heraldnet.schemes import NetworkGeometry, build_bc, build_sc, build_scheme, eta_for_geometry
 
 ALPHA = 0.023
+# relative only, so no floor hides a small value's error (the smallest, p_suc
+# at sd N=4 and eta=0.5, is about 1.2e-7)
 REL_TOL = 1e-9
-# far below REL_TOL times the smallest grid value (p_suc ~ 1.2e-7 at sd N=4, eta=0.5)
-ABS_FLOOR = 1e-18
 
 GRID_CASES = [
     (scheme, n, eta)
@@ -53,7 +53,7 @@ def case_label(scheme, n, eta):
 
 
 def close(a, b):
-    return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_FLOOR)
+    return math.isclose(a, b, rel_tol=REL_TOL)
 
 
 class TestCriterion1:
@@ -118,7 +118,7 @@ class TestCriterion1:
         # family exactly; these expressions agree with the quoted ones at
         # eta = 1 and for the Bell-pair scheme everywhere
         metrics = oracle(scheme, n, eta)
-        tol = {"rel": REL_TOL, "abs": ABS_FLOOR}
+        tol = {"rel": REL_TOL, "abs": 0.0}  # approx would otherwise allow 1e-12 absolute
         assert metrics.p_suc == pytest.approx(closed_p_suc(scheme, n, eta), **tol)
         assert metrics.p_hr == pytest.approx(exact_p_hr(scheme, n, eta), **tol)
         assert metrics.h_eff == pytest.approx(exact_h_eff(scheme, n, eta), **tol)

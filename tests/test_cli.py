@@ -190,11 +190,11 @@ class TestSimulate:
         ],
     )
     def test_simulation_cap_is_per_scheme(self, capsys, monkeypatch, argv, message):
-        # refused before any state is evolved: at N=8 every scheme needs more photons than a key holds
-        def evolve(build):
-            raise AssertionError(f"evolved {build.spec.scheme} N={build.spec.n_parties}")
+        # refused before any party is evolved: at N=8 every scheme needs more photons than a key holds
+        def evolve(stage, state):
+            raise AssertionError("a party was evolved")
 
-        monkeypatch.setattr(heralding, "detection_ready_state", evolve)
+        monkeypatch.setattr(heralding, "apply", evolve)
         code, out, err = run(capsys, argv)
         assert code == 1
         assert out == ""
@@ -578,6 +578,29 @@ class TestVerify:
         _, _, simulated = run(capsys, ["simulate", "--scheme", "sd", "--parties", "2",
                                        "--eta", "1e-100"])
         assert simulated == err
+
+    def test_tiny_herald_rate_is_compared_relatively(self, capsys, tmp_path):
+        # the design form gives p_hr ~ 4.4e-19 where the simulation gives 2.5e-19,
+        # a gap that no absolute floor may hide
+        target = tmp_path / "verify.json"
+        code, _, _ = run(capsys, ["verify", "--scheme", "sc", "--parties", "3",
+                                  "--eta", "0.001", "--out", str(target)])
+        assert code == 1
+        row = next(r for r in json.loads(target.read_text())["rows"] if r["metric"] == "p_hr")
+        assert row["analytic"] < 1e-18 and row["simulated"] < 1e-18
+        assert not row["passed"]
+        assert row["note"].startswith("simulation matches (2 eta^2 - eta^4)^N / 2^(2N-1)")
+
+    def test_subnormal_probabilities_fail_as_no_herald_does(self, capsys, tmp_path):
+        # P_hr ~ 5.0e-321 keeps too few bits for h_eff, which would read 0.996 for bc
+        target = tmp_path / "verify.json"
+        for argv in (["simulate"], ["verify", "--out", str(target)]):
+            code, out, err = run(capsys, argv + ["--scheme", "bc", "--parties", "2",
+                                                 "--eta", "1e-80"])
+            assert code == 1
+            assert out == ""
+            assert err == "error: heralding efficiency undefined: a probability is subnormal\n"
+        assert not target.exists()
 
     def test_uncorrected_flag_changes_reference(self, capsys):
         base = ["verify", "--scheme", "sc", "--parties", "2", "--eta", "0.9"]

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import sys
 import time
 from functools import reduce
 
@@ -558,6 +559,19 @@ class TestErrors:
     def test_efficiency_undefined_without_heralds(self):
         with pytest.raises(UndefinedMetricError):
             Metrics("bc", 2, 0.0, p_suc=0.0, p_hr=0.0).h_eff
+
+    def test_efficiency_undefined_for_subnormal_probabilities(self):
+        # at eta=1e-80 bc's P_hr and P_suc are subnormal; their ratio reads
+        # 0.996 although bc's h_eff is exactly 1
+        metrics = compute_metrics(build_bc(2, 1e-80))
+        assert 0.0 < metrics.p_suc < metrics.p_hr < sys.float_info.min
+        with pytest.raises(UndefinedMetricError, match="subnormal"):
+            metrics.h_eff
+        with pytest.raises(UndefinedMetricError, match="subnormal"):
+            Metrics("sd", 2, 0.5, p_suc=5e-324, p_hr=0.5).h_eff
+        tiny = sys.float_info.min
+        assert Metrics("bc", 2, 0.5, p_suc=tiny, p_hr=tiny).h_eff == 1.0
+        assert Metrics("sd", 2, 0.5, p_suc=0.0, p_hr=tiny).h_eff == 0.0
 
     def test_fully_lossy_build_has_no_heralds(self):
         metrics = compute_metrics(build_bc(2, 0.0))
