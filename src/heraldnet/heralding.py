@@ -49,8 +49,8 @@ from .schemes import SchemeBuild, SchemeSpec
 
 # The drivers refuse networks past this size.  Nothing here forms the heralded
 # ket any more: on 2 cores, Python 3.11, one fresh process per case, every
-# scheme's compute_metrics at N=6 or 7 takes 2 to 10 ms and 15 MB (eta 0.9 and
-# 0.5), and analyze_patterns at N=7 and eta 0.9 under 0.1 s and 21 MB.
+# scheme's compute_metrics at N=6 or 7 takes 2 to 6 ms and 16 MB (eta 0.9 and
+# 0.5), and analyze_patterns at N=7 and eta 0.9 under 0.1 s and 20 MB.
 # What refuses N=8 is the sweeps' guard on 15 photons in all (_contraction):
 # every scheme has 16 there, although a packed key holds 15 photons per mode
 # (MAX_OCCUPATION), not 15 in all.
@@ -58,7 +58,16 @@ ORACLE_MAX_PARTIES = 7
 
 
 class UndefinedMetricError(ArithmeticError):
-    """Raised when a ratio metric has a vanishing denominator."""
+    """Raised when a ratio metric has a vanishing denominator, or a
+    subnormal probability on either side."""
+
+
+def _refuse_subnormal(metric: str, *probabilities: float) -> None:
+    """Raise :class:`UndefinedMetricError` if a probability that ``metric``
+    divides is nonzero but subnormal, where a quotient keeps too few
+    significant bits to mean anything."""
+    if any(0.0 < p < sys.float_info.min for p in probabilities):
+        raise UndefinedMetricError(f"{metric} undefined: a probability is subnormal")
 
 
 class NoGhzComponentError(ValueError):
@@ -170,9 +179,11 @@ class PatternOutcome:
 
     @cached_property
     def fidelity(self) -> float:
-        """Overlap with the best phase-corrected GHZ state, given the click."""
+        """Overlap with the best phase-corrected GHZ state, given the click;
+        0 for a pattern that never happens."""
         if self.probability <= 0.0:
             return 0.0
+        _refuse_subnormal("fidelity", self.probability, self.success_probability)
         return self.success_probability / self.probability
 
     def feedforward_phase(self) -> float:
@@ -214,8 +225,7 @@ class Metrics:
     def h_eff(self) -> float:
         if self.p_hr <= 0.0:
             raise UndefinedMetricError("heralding efficiency undefined: herald probability is zero")
-        if any(0.0 < p < sys.float_info.min for p in (self.p_hr, self.p_suc)):
-            raise UndefinedMetricError("heralding efficiency undefined: a probability is subnormal")
+        _refuse_subnormal("heralding efficiency", self.p_hr, self.p_suc)
         return self.p_suc / self.p_hr
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .fock import (
@@ -50,13 +51,24 @@ Column = tuple[tuple[int, complex], ...]
 
 @dataclass(frozen=True)
 class LinearMap:
-    """Simultaneous substitution a_dag(in) -> sum coeff * a_dag(out)."""
+    """Simultaneous substitution a_dag(in) -> sum coeff * a_dag(out).
+
+    A map's columns must not change after construction: :func:`apply`
+    caches its :attr:`plan` on first use."""
 
     registry: ModeRegistry
     columns: dict[int, Column] = field(default_factory=dict)
 
-    def output_indices(self) -> frozenset[int]:
-        return frozenset(i for col in self.columns.values() for i, _ in col)
+    @cached_property
+    def plan(self) -> tuple[int, int, dict[int, tuple[tuple[int, complex], ...]]]:
+        """The packed masks of the input and the output modes, and each
+        input mode's column as (output key, coefficient) steps, keyed by
+        the mode's bit offset in a packed key."""
+        outputs = {i for col in self.columns.values() for i, _ in col}
+        steps = {BITS * idx: tuple((1 << (BITS * out), coeff) for out, coeff in col)
+                 for idx, col in self.columns.items()}
+        return (pack(dict.fromkeys(self.columns, MAX_OCCUPATION)),
+                pack(dict.fromkeys(outputs, MAX_OCCUPATION)), steps)
 
     def __repr__(self) -> str:  # keep debug output short
         return f"LinearMap({len(self.columns)} columns)"
@@ -209,10 +221,12 @@ def apply(transform: LinearMap, state: PhotonicState) -> PhotonicState:
 
     An input monomial splits into its mapped photons ``key & in_mask`` and
     its unmapped spectators ``rest``.  The mapped photons are substituted
-    one at a time, mapped modes ascending, starting from ``rest`` at the
-    input's amplitude.  Like terms are merged with
+    one at a time, starting from ``rest`` at the input's amplitude; only
+    the modes the monomial occupies are visited, lowest mode first, so
+    every sum runs in ascending mode order.  Like terms are merged with
     :func:`heraldnet.fock.cancel_add`, so a cancellation leaves an exact
-    zero.
+    zero.  The masks and steps come from the map's cached
+    :attr:`LinearMap.plan`.
 
     Raises :class:`ModeCollisionError` if an occupied unmapped mode collides
     with a map output.  The term count is not capped here: the drivers
@@ -220,16 +234,11 @@ def apply(transform: LinearMap, state: PhotonicState) -> PhotonicState:
     """
     if transform.registry is not state.registry:
         raise RegistryError("map and state use different registries")
-    in_mask = pack(dict.fromkeys(transform.columns, MAX_OCCUPATION))
-    out_mask = pack(dict.fromkeys(transform.output_indices(), MAX_OCCUPATION))
-    # Mapped modes ascending, columns in stored order: fixes the order of every sum.
-    steps = [
-        (BITS * idx, tuple((1 << (BITS * out), coeff) for out, coeff in col))
-        for idx, col in sorted(transform.columns.items())
-    ]
+    in_mask, out_mask, steps = transform.plan
     new_terms: dict[int, complex] = {}
     for key, amp in state.amplitudes.items():
-        rest = key & ~in_mask
+        mapped = key & in_mask
+        rest = key ^ mapped
         clash = rest & out_mask
         if clash:
             mode = state.registry.mode(((clash & -clash).bit_length() - 1) // BITS)
@@ -238,8 +247,12 @@ def apply(transform: LinearMap, state: PhotonicState) -> PhotonicState:
                 "but appears among the map outputs"
             )
         poly = {rest: amp}
-        for shift, col in steps:
-            for _ in range((key >> shift) & MAX_OCCUPATION):
+        while mapped:
+            shift = ((mapped & -mapped).bit_length() - 1) // BITS * BITS
+            count = (mapped >> shift) & MAX_OCCUPATION
+            mapped ^= count << shift
+            col = steps[shift]
+            for _ in range(count):
                 nxt: dict[int, complex] = {}
                 for partial, pamp in poly.items():
                     for step, coeff in col:

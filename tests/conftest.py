@@ -17,8 +17,11 @@ import pytest
 from heraldnet.fock import (
     BITS,
     MAX_OCCUPATION,
+    ModeCollisionError,
     PhotonicState,
+    RegistryError,
     _monomial_weight,
+    cancel_add,
     inner_product,
     pack,
     photons,
@@ -53,6 +56,46 @@ def explicit_evolution(build):
     for stage in build.stages:
         state = apply(stage, state)
     return state
+
+
+def reference_apply(transform, state):
+    """The all-columns form of :func:`heraldnet.optics.apply`, the
+    differential test's reference: it packs the masks and the step list over
+    every column on each call, and walks every mapped mode of every term in
+    ascending order, occupied or not."""
+    if transform.registry is not state.registry:
+        raise RegistryError("map and state use different registries")
+    outputs = {i for col in transform.columns.values() for i, _ in col}
+    in_mask = pack(dict.fromkeys(transform.columns, MAX_OCCUPATION))
+    out_mask = pack(dict.fromkeys(outputs, MAX_OCCUPATION))
+    steps = [
+        (BITS * idx, tuple((1 << (BITS * out), coeff) for out, coeff in col))
+        for idx, col in sorted(transform.columns.items())
+    ]
+    new_terms = {}
+    for key, amp in state.amplitudes.items():
+        rest = key & ~in_mask
+        clash = rest & out_mask
+        if clash:
+            mode = state.registry.mode(((clash & -clash).bit_length() - 1) // BITS)
+            raise ModeCollisionError(
+                f"occupied mode {mode.spatial_label}/{mode.polarization} is unmapped "
+                "but appears among the map outputs"
+            )
+        poly = {rest: amp}
+        for shift, col in steps:
+            for _ in range((key >> shift) & MAX_OCCUPATION):
+                nxt = {}
+                for partial, pamp in poly.items():
+                    for step, coeff in col:
+                        out = partial + step
+                        val = nxt.get(out)
+                        nxt[out] = pamp * coeff if val is None else cancel_add(val, pamp * coeff)
+                poly = nxt
+        for out, value in poly.items():
+            cur = new_terms.get(out)
+            new_terms[out] = value if cur is None else cancel_add(cur, value)
+    return PhotonicState(state.registry, new_terms)
 
 
 def without_c1_plate(build):

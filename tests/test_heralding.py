@@ -208,6 +208,15 @@ class TestDetectionPipeline:
         assert [len(t) for t in seen["tags"]] == [20] * 4
         assert (seen["sizes"], len(ready)) == ([20, 192, 1792], 2048)
 
+    @pytest.mark.parametrize("scheme, terms", [("bc", 10), ("sc", 26), ("sd", 30)])
+    def test_parties_evolve_as_at_four_with_wide_keys(self, scheme, terms):
+        # keys 50 parties wide, which the 15-photon guard keeps from
+        # compute_metrics: each factor holds its N=4 terms, with norm 1
+        factors, _, _ = heralding._evolved_parties(build_scheme(scheme, 50, 0.9))
+        assert [len(f) for f in factors] == [terms] * 50
+        for factor in factors:
+            assert norm_squared(factor) == pytest.approx(1.0, abs=1e-12)
+
     def test_parties_coupled_before_the_last_stage_share_modes(self, monkeypatch):
         # the product of factors that share modes is still the evolved state
         coupled = coupled_parties(build_bc(2, 0.9))
@@ -572,6 +581,20 @@ class TestErrors:
         tiny = sys.float_info.min
         assert Metrics("bc", 2, 0.5, p_suc=tiny, p_hr=tiny).h_eff == 1.0
         assert Metrics("sd", 2, 0.5, p_suc=0.0, p_hr=tiny).h_eff == 0.0
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_fidelity_undefined_for_subnormal_probabilities(self, scheme):
+        # the quotient read 0.996 for bc (exactly 1) and 0.0 for sd, whose
+        # GHZ amplitudes underflow while its pattern probability does not
+        outcomes = analyze_patterns(build_scheme(scheme, 2, 1e-80))
+        for outcome in outcomes:
+            assert 0.0 < outcome.probability < sys.float_info.min
+            with pytest.raises(UndefinedMetricError, match="fidelity undefined: .* subnormal"):
+                outcome.fidelity
+        tiny = sys.float_info.min
+        root = complex(math.sqrt(tiny))
+        assert PatternOutcome(("H", "H"), 2 * tiny, (root, root), ()).fidelity == 1.0
+        assert PatternOutcome(("H", "H"), 0.0, (0j, 0j), ()).fidelity == 0.0
 
     def test_fully_lossy_build_has_no_heralds(self):
         metrics = compute_metrics(build_bc(2, 0.0))

@@ -2,17 +2,21 @@
 
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_apply
 from heraldnet.fock import (
     ModeCollisionError,
     ModeRegistry,
+    PhotonicState,
     RegistryError,
     norm_squared,
+    pack,
     state_from_creation_product,
     superpose,
 )
@@ -270,3 +274,78 @@ def test_unitary_pipeline_preserves_norm(amps, eta):
     )
     out = apply(stage2, apply(stage1, state))
     assert norm_squared(out) == pytest.approx(before, abs=1e-10)
+
+
+# Coefficients that cancel exactly in pairs, as the splitters' do, and arbitrary ones.
+COEFFICIENTS = st.one_of(
+    st.sampled_from([0.5, -0.5, R, -R, 1.0, -1.0, 0.5j, -0.5j]),
+    st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)),
+)
+
+
+@st.composite
+def maps_and_states(draw):
+    """A random map over up to 8 modes and a state of up to 4 terms of up to
+    5 photons each, their unmapped photons off the map's outputs.  Columns
+    may map modes no term occupies and send a mode to itself, as a loss
+    element does.  In about half the states that can collide, one term gets
+    a photon in an unmapped output."""
+    registry = ModeRegistry()
+    n = draw(st.integers(1, 8))
+    for i in range(n):
+        registry.register(f"m{i // 2}", "HV"[i % 2], "internal")
+    column = st.lists(st.tuples(st.integers(0, n - 1), COEFFICIENTS),
+                      min_size=1, max_size=4, unique_by=lambda entry: entry[0])
+    columns = draw(st.dictionaries(st.integers(0, n - 1), column.map(tuple), max_size=n))
+    outputs = {out for col in columns.values() for out, _ in col}
+    occupiable = sorted(set(range(n)) - (outputs - set(columns)))
+    term = st.lists(st.sampled_from(occupiable), max_size=5) if occupiable else st.just([])
+    terms = draw(st.lists(st.tuples(term.map(lambda modes: pack(Counter(modes))), COEFFICIENTS),
+                          min_size=1, max_size=4))
+    clashing = sorted(outputs - set(columns))
+    if clashing and draw(st.booleans()):
+        i = draw(st.integers(0, len(terms) - 1))
+        key, a = terms[i]
+        terms[i] = key + pack({draw(st.sampled_from(clashing)): 1}), a
+    return LinearMap(registry, columns), PhotonicState(registry, dict(terms))
+
+
+def _two_photon_pbs_da():
+    """One H and one V photon into pbs_da, whose cross terms cancel, beside
+    a spectator and a mapped, unoccupied loss column."""
+    r, pairs, env = make_registry()
+    transform = merge_maps([pbs_da(pairs["a1"], pairs["d1"], pairs["e1"]),
+                            loss_channel(pairs["c1"][0], env[0], 0.6)])
+    a_h, a_v = pairs["a1"]
+    state = superpose([(1.0, state_from_creation_product(r, [a_h, a_v, pairs["b1"][0]])),
+                       (-R, state_from_creation_product(r, [a_h, a_h]))])
+    return transform, state
+
+
+def _four_photons_through_loss():
+    """Four photons in a mode that is both input and output of a loss element."""
+    r, pairs, env = make_registry()
+    c = pairs["c1"][0]
+    return loss_channel(c, env[0], 0.3), state_from_creation_product(r, [c] * 4)
+
+
+def _outcome(apply_map, transform, state):
+    """The output's keys in order with the bits of each amplitude, or the
+    collision message."""
+    try:
+        out = apply_map(transform, state)
+    except ModeCollisionError as error:
+        return str(error)
+    return [(key, a.real.hex(), a.imag.hex()) for key, a in out.amplitudes.items()]
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=maps_and_states())
+@example(case=_two_photon_pbs_da())
+@example(case=_four_photons_through_loss())
+def test_apply_matches_the_all_columns_reference(case):
+    # a second apply reads the plan the first one cached
+    transform, state = case
+    expected = _outcome(reference_apply, transform, state)
+    assert _outcome(apply, transform, state) == expected
+    assert _outcome(apply, transform, state) == expected
