@@ -12,7 +12,6 @@ compared side by side.  Success probabilities agree everywhere.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -38,24 +37,6 @@ def _check(scheme: str, n: int, eta: float) -> None:
     _check_params(n, eta)
 
 
-def _past_overflow(fallback):
-    """Decorate a form with ``fallback``, taken where a power in the form
-    overflows: the same value with no power above 1 (``b**-n`` for
-    ``1 / b**n``), less any term that the overflow puts beyond the last
-    bit.  The value there lies below the smallest normal float, and the
-    fallback follows it into the subnormal range.  Powers of 2 scale by
-    ``math.ldexp``."""
-    def decorate(form):
-        @functools.wraps(form)
-        def guarded(*args: object) -> float:
-            try:
-                return form(*args)
-            except OverflowError:
-                return fallback(*args)
-        return guarded
-    return decorate
-
-
 def closed_p_suc(scheme: str, n: int, eta: float) -> float:
     """Design success probability.
 
@@ -70,13 +51,12 @@ def closed_p_suc(scheme: str, n: int, eta: float) -> float:
     return math.ldexp(eta ** (4 * n), 1 - 2 * n)
 
 
-# only sc's (3 eta^2 - 2 eta^4)^N can overflow
-@_past_overflow(lambda scheme, n, eta: (eta**2 / 4) ** n + ((3 * eta**2 - 2 * eta**4) / 4) ** n)
 def closed_p_hr(scheme: str, n: int, eta: float) -> float:
     """Design herald probability.
 
     bc: eta^2N / 2^(N-1)
-    sc: (eta^2N + (3 eta^2 - 2 eta^4)^N) / 2^2N
+    sc: (eta^2N + (3 eta^2 - 2 eta^4)^N) / 2^2N, taken as
+        (eta^2 / 4)^N + ((3 eta^2 - 2 eta^4) / 4)^N so that no power exceeds 1
     sd: ((2 eta^2 - eta^4)^N + eta^4N) / 2^2N
 
     The sc form divides by 2^2N rather than 2^N so that h_eff reaches 1 in
@@ -86,38 +66,38 @@ def closed_p_hr(scheme: str, n: int, eta: float) -> float:
     if scheme == "bc":
         return math.ldexp(eta ** (2 * n), 1 - n)
     if scheme == "sc":
-        return math.ldexp(eta ** (2 * n) + (3 * eta**2 - 2 * eta**4) ** n, -2 * n)
+        return (eta**2 / 4) ** n + ((3 * eta**2 - 2 * eta**4) / 4) ** n
     return math.ldexp((2 * eta**2 - eta**4) ** n + eta ** (4 * n), -2 * n)
 
 
-@_past_overflow(lambda scheme, n, eta: 2.0 * (eta ** (2 * n) * (2.0 - eta**2) ** -n
-                                             if scheme == "sd" else (3.0 - 2.0 * eta**2) ** -n))
 def closed_h_eff(scheme: str, n: int, eta: float) -> float:
     """Design heralding efficiency.
 
     bc: exactly 1;  sc: 2 / (1 + (3 - 2 eta^2)^N);
     sd: 2 eta^2N / ((2 - eta^2)^N + eta^2N).
+
+    Both lossy forms are taken as 2q / (1 + q), with q = (3 - 2 eta^2)^-N
+    for sc and q = eta^2N (2 - eta^2)^-N for sd, so that no power exceeds 1.
     """
     _check(scheme, n, eta)
     if eta == 0.0:
         raise UndefinedMetricError("heralding efficiency undefined at eta=0")
     if scheme == "bc":
         return 1.0
-    if scheme == "sc":
-        return 2.0 / (1.0 + (3.0 - 2.0 * eta**2) ** n)
-    return 2.0 * eta ** (2 * n) / ((2.0 - eta**2) ** n + eta ** (2 * n))
+    q = (3.0 - 2.0 * eta**2) ** -n if scheme == "sc" else eta ** (2 * n) * (2.0 - eta**2) ** -n
+    return 2.0 * q / (1.0 + q)
 
 
-@_past_overflow(lambda n, eta: (eta**2 / 2) ** n + ((3 * eta**2 - 2 * eta**4) / 2) ** n)
 def sc_p_hr_uncorrected(n: int, eta: float) -> float:
-    """Uncorrected sc herald probability (eta^2N + (3 eta^2 - 2 eta^4)^N) / 2^N.
+    """Uncorrected sc herald probability (eta^2N + (3 eta^2 - 2 eta^4)^N) / 2^N,
+    taken as (eta^2 / 2)^N + ((3 eta^2 - 2 eta^4) / 2)^N.
 
     Kept for side-by-side comparison: it exceeds :func:`closed_p_hr` by a
     factor 2^N and implies h_eff(eta=1) = 2^-N instead of 1, failing the
     lossless consistency check.
     """
     _check("sc", n, eta)
-    return math.ldexp(eta ** (2 * n) + (3 * eta**2 - 2 * eta**4) ** n, -n)
+    return (eta**2 / 2) ** n + ((3 * eta**2 - 2 * eta**4) / 2) ** n
 
 
 def exact_p_hr(scheme: str, n: int, eta: float) -> float:
@@ -140,12 +120,11 @@ def exact_p_hr(scheme: str, n: int, eta: float) -> float:
     return math.ldexp((2 * eta**2 - eta**4) ** n, 1 - 2 * n)
 
 
-# only sd's (2 - eta^2)^N can overflow
-@_past_overflow(lambda scheme, n, eta: eta ** (2 * n) * (2.0 - eta**2) ** -n)
 def exact_h_eff(scheme: str, n: int, eta: float) -> float:
     """Heralding efficiency matching exhaustive amplitude simulation.
 
-    bc: 1;  sc: (2 - eta^2)^-N;  sd: eta^2N / (2 - eta^2)^N.
+    bc: 1;  sc: (2 - eta^2)^-N;  sd: eta^2N / (2 - eta^2)^N, taken as
+    eta^2N (2 - eta^2)^-N so that no power exceeds 1.
     """
     _check(scheme, n, eta)
     if eta == 0.0:
@@ -154,7 +133,7 @@ def exact_h_eff(scheme: str, n: int, eta: float) -> float:
         return 1.0
     if scheme == "sc":
         return (2.0 - eta**2) ** (-n)
-    return eta ** (2 * n) / (2.0 - eta**2) ** n
+    return eta ** (2 * n) * (2.0 - eta**2) ** -n
 
 
 def lhv_threshold(n: int) -> float:

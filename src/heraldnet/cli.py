@@ -2,8 +2,8 @@
 
 Subcommands: simulate (metrics for one network), sweep (radius sweeps as
 CSV), crossover (per-N crossing radius table), verify (closed forms against
-brute-force simulation).  All outputs are deterministic for a fixed
-configuration and any ``verify --workers``.
+brute-force simulation, every case in this process).  All outputs are
+deterministic for a fixed configuration.
 
 Errors come in two classes.  A malformed option, on the command line or
 from ``--config`` (an unknown option, a missing value, a value its
@@ -169,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="compare sc herald probability against the uncorrected "
                                "variant (eta^2N + (3 eta^2 - 2 eta^4)^N)/2^N, which is "
                                "2^N times the consistent form and fails at eta=1")
-    p_verify.add_argument("--workers", type=int, default=None,
-                          help="simulation worker processes (default 1)")
+    # verify runs in one process; 1 stays accepted for scripts that pass it
+    p_verify.add_argument("--workers", type=int, choices=(1,), help=argparse.SUPPRESS)
     _add_common(p_verify)
     return parser
 
@@ -340,7 +340,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rows = verify_suite(
         parties, etas, resolve_schemes(args.scheme),
         sc_phr_uncorrected=args.sc_phr_uncorrected,
-        workers=args.workers,
     )
     _emit(args, lambda stream: write_verification_json(rows, stream))
     summary = verification_report(rows)["summary"]

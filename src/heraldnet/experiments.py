@@ -1,17 +1,15 @@
 """Parameter sweeps and the analytic-versus-simulation verification campaign.
 
 Record streams are plain dataclasses with stable ordering so that repeated
-runs with the same inputs serialize byte for byte.  Simulation cases are
-independent and may be fanned out over worker processes; results are sorted
-by key before emission, so worker count never changes the output.
+runs with the same inputs serialize byte for byte.  The verification
+campaign simulates each distinct case once, in sorted order and in this
+process, before it writes any row.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
@@ -27,7 +25,7 @@ from .analytic import (
     lhv_threshold,
     sc_p_hr_uncorrected,
 )
-from .heralding import Metrics, check_oracle_size, compute_metrics
+from .heralding import check_oracle_size, compute_metrics
 from .schemes import DEFAULT_ALPHA, SCHEMES, NetworkGeometry, build_scheme, eta_for_geometry
 from .schemes import _check_scheme
 
@@ -48,11 +46,6 @@ def agrees(analytic: float, simulated: float) -> bool:
     """The verify criterion: equal to a relative ``VERIFY_TOL``, with no
     absolute floor to hide a tiny value's error; exact zeros are equal."""
     return math.isclose(analytic, simulated, rel_tol=VERIFY_TOL)
-
-
-def pool_size(requested: int, n_jobs: int, cpus: int | None) -> int:
-    """Worker processes to start: at most one per job and one per CPU."""
-    return max(1, min(requested, n_jobs, cpus or 1))
 
 
 @dataclass(frozen=True)
@@ -179,24 +172,6 @@ def crossover_curve(
     return points
 
 
-def _oracle_case(args: tuple[str, int, float]) -> Metrics:
-    return compute_metrics(build_scheme(*args))
-
-
-def oracle_metrics_map(
-    cases: Sequence[tuple[str, int, float]], workers: int | None = None
-) -> dict[tuple[str, int, float], Metrics]:
-    """(scheme, n, eta) -> Metrics by brute-force simulation."""
-    jobs = sorted(set(cases))
-    count = pool_size(workers or 1, len(jobs), os.cpu_count())
-    if count == 1:
-        results = [_oracle_case(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=count) as pool:
-            results = list(pool.map(_oracle_case, jobs))
-    return dict(zip(jobs, results))
-
-
 def _exact_form_note(scheme: str, metric: str, n: int, eta: float, simulated: float) -> str:
     if scheme == "bc" or eta == 1.0:
         return ""
@@ -218,15 +193,16 @@ def verify_suite(
     eta_list: Sequence[float] = DEFAULT_VERIFY_ETAS,
     schemes: Sequence[str] = SCHEMES,
     sc_phr_uncorrected: bool = False,
-    workers: int | None = None,
 ) -> list[VerificationRow]:
     """Compare closed-form metrics against brute-force simulation.
 
     Three rows (p_suc, p_hr, h_eff) per (scheme, N, eta) case.  A row
     passes when analytic and simulated agree to a relative 1e-9 (see
     :func:`agrees`).  Rows where the simulation instead matches the
-    alternative exact-form expressions carry a note saying so.  ``sc_phr_uncorrected`` swaps the sc herald-probability
-    reference for its uncorrected variant (divisor 2^N instead of 2^2N).
+    alternative exact-form expressions carry a note saying so.
+    ``sc_phr_uncorrected`` swaps the sc herald-probability reference for its
+    uncorrected variant (divisor 2^N instead of 2^2N).  Each distinct case
+    is simulated once, in sorted order, before any row is written.
     """
     for scheme in schemes:
         _check_scheme(scheme)
@@ -237,7 +213,7 @@ def verify_suite(
             raise ValueError(f"verification needs eta in (0, 1], got {eta}")
 
     cases = [(s, n, e) for s in schemes for n in n_list for e in eta_list]
-    simulated = oracle_metrics_map(cases, workers=workers)
+    simulated = {case: compute_metrics(build_scheme(*case)) for case in sorted(set(cases))}
 
     rows = []
     for scheme, n, eta in cases:

@@ -113,21 +113,22 @@ def _evolved_parties(build: SchemeBuild) -> tuple[list[PhotonicState], list[dict
     the packed mask of the modes its terms reach.  A tag packs a term's
     photon count in each station into a nibble, so tags add; a term with two
     photons in one station can take part in no herald and gets no tag."""
-    stations = list(enumerate(station_masks(build.spec)))
-    doubled = _ones(BITS * len(stations)) * (MAX_OCCUPATION - 1)
+    stations = list(enumerate(_slots(build.spec.detector_stations)))
     factors, tags, footprints = [], [], []
     for party in build.parties:
         factor = reduce(lambda state, stage: apply(stage, state), build.stages, party)
         # OR keeps every nonzero nibble nonzero, so one mask serves all keys.
         footprint = _occupied(reduce(or_, factor.amplitudes, 0))
-        reached = [(BITS * s, m) for s, m in stations if footprint & m]
+        reached = [(1 << BITS * s, m, h, v) for s, (m, h, v) in stations if footprint & m]
         tag = {}
         for k in factor.amplitudes:
             t = 0
-            for shift, m in reached:
-                if k & m:
-                    t += photons(k & m) << shift
-            if not t & doubled:
+            for one, m, h, v in reached:
+                if (part := k & m) in (h, v):
+                    t += one
+                elif part:
+                    break
+            else:
                 tag[k] = t
         factors.append(factor)
         tags.append(tag)

@@ -178,10 +178,13 @@ def decimal_forms(n, eta):
 
 
 class TestAnyPartyCount:
-    # past N = 511 the int 2^2N stops converting to a float; sc's herald
-    # numerators overflow from N = 6027 at eta^2 = 3/4, (3 - 2 eta^2)^N
-    # from N = 647 and (2 - eta^2)^N at N = 2000, eta = 0.5
-    @pytest.mark.parametrize("n", [2, 7, 100, 511, 512, 520, 647, 2000, 6026, 6027, 10**6])
+    # where a form with a power above 1 would leave the float range: past
+    # N = 511 the int 2^2N no longer converts to a float; sc's herald
+    # numerators pass it from N = 6027 at eta^2 = 3/4, (3 - 2 eta^2)^N from
+    # N = 647 at eta = 1e-3, (2 - eta^2)^N from N = 1025 at eta = 1e-3 and
+    # at N = 2000, eta = 0.5
+    @pytest.mark.parametrize("n", [2, 3, 7, 13, 50, 100, 511, 512, 520, 646, 647, 1024, 1025,
+                                   2000, 6026, 6027, 10**6])
     def test_every_form_follows_its_decimal_value(self, n):
         forms = {"closed_p_suc": closed_p_suc, "closed_p_hr": closed_p_hr,
                  "closed_h_eff": closed_h_eff, "exact_p_hr": exact_p_hr,

@@ -23,14 +23,13 @@ from heraldnet.experiments import (
     analytic_record,
     crossover_curve,
     fmt,
-    oracle_metrics_map,
-    pool_size,
     sweep_vs_radius,
     verification_report,
     verify_suite,
     write_sweep_csv,
     write_verification_json,
 )
+from heraldnet.heralding import compute_metrics
 from heraldnet.schemes import SCHEMES, NetworkGeometry, build_scheme, eta_for_geometry
 
 
@@ -223,64 +222,29 @@ class TestVerifySuite:
 
 
 class TestOracleHelpers:
-    def test_oracle_metrics_map_values(self):
-        cases = [("bc", 2, 1.0), ("bc", 2, 0.9)]
-        table = oracle_metrics_map(cases, workers=1)
-        lossless, lossy = table[("bc", 2, 1.0)], table[("bc", 2, 0.9)]
-        assert lossless.p_suc == pytest.approx(0.5, abs=1e-12)
-        assert lossless.p_hr == pytest.approx(0.5, abs=1e-12)
-        assert lossy.p_suc == pytest.approx(lossy.p_hr, abs=1e-12)
-        assert (lossy.scheme, lossy.n_parties, lossy.eta) == ("bc", 2, 0.9)
+    def test_verify_suite_carries_the_oracle_values(self):
+        rows = verify_suite([2], [1.0, 0.9], ["bc"])
+        simulated = {(r.eta, r.metric): r.simulated for r in rows}
+        assert simulated[(1.0, "p_suc")] == pytest.approx(0.5, abs=1e-12)
+        assert simulated[(1.0, "p_hr")] == pytest.approx(0.5, abs=1e-12)
+        assert simulated[(0.9, "p_suc")] == pytest.approx(simulated[(0.9, "p_hr")], abs=1e-12)
+        lossy = compute_metrics(build_scheme("bc", 2, 0.9))
+        assert [simulated[(0.9, m)] for m in ("p_suc", "p_hr", "h_eff")] == [
+            lossy.p_suc, lossy.p_hr, lossy.h_eff]
 
-    def test_real_pool_writes_the_same_bytes_as_one_worker(self, monkeypatch):
-        sizes = []
-        real_pool = experiments.ProcessPoolExecutor
+    def test_each_distinct_case_runs_once_in_sorted_order_before_any_row(self, monkeypatch):
+        # benchmarks/run.py times and patches experiments.compute_metrics by that name
+        seen = []
 
-        def recording_pool(max_workers):
-            sizes.append(max_workers)
-            return real_pool(max_workers=max_workers)
+        def recording(build):
+            seen.append((build.spec.scheme, build.spec.n_parties, build.spec.eta))
+            return compute_metrics(build)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", recording_pool)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
-        written = {}
-        for workers in (2, 1):
-            rows = verify_suite([2], [1.0, 0.9], ["bc", "sc"], workers=workers)
-            stream = io.StringIO()
-            write_verification_json(rows, stream)
-            written[workers] = stream.getvalue()
-        assert sizes == [2]  # two worker processes ran; one worker runs inline
-        assert written[2] == written[1]
-
-    @pytest.mark.parametrize(
-        "requested, n_jobs, cpus, expected",
-        [(100_000, 24, 2, 2), (4, 1, 8, 1), (3, 24, 8, 3), (8, 24, None, 1), (2, 0, 8, 1)],
-    )
-    def test_pool_size_is_clamped_to_jobs_and_cpus(self, requested, n_jobs, cpus, expected):
-        assert pool_size(requested, n_jobs, cpus) == expected
-
-    def test_oracle_pool_never_exceeds_the_clamp(self, monkeypatch):
-        # a stand-in pool records its size and runs inline: no process starts
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
-        cases = [("bc", 2, 1.0), ("bc", 2, 0.9), ("bc", 2, 0.7)]
-        table = oracle_metrics_map(cases, workers=100_000)
-        assert sizes == [2]
-        assert table == oracle_metrics_map(cases, workers=1)
+        monkeypatch.setattr(experiments, "compute_metrics", recording)
+        rows = verify_suite([3, 2, 3], [1.0, 0.9], ["sc", "bc"])
+        assert seen == sorted({(s, n, e) for s in ("sc", "bc") for n in (3, 2) for e in (1.0, 0.9)})
+        # the rows keep the caller's order, repeats included
+        assert len(rows) == 3 * 12 and rows[0].case_id == rows[12].case_id == "sc-n3-eta1"
 
     def test_fmt_is_compact(self):
         assert fmt(0.5) == "0.5"

@@ -208,12 +208,14 @@ class TestDetectionPipeline:
         assert [len(t) for t in seen["tags"]] == [20] * 4
         assert (seen["sizes"], len(ready)) == ([20, 192, 1792], 2048)
 
-    @pytest.mark.parametrize("scheme, terms", [("bc", 10), ("sc", 26), ("sd", 30)])
-    def test_parties_evolve_as_at_four_with_wide_keys(self, scheme, terms):
+    @pytest.mark.parametrize("scheme, terms, tagged", [("bc", 10, 10), ("sc", 26, 20),
+                                                       ("sd", 30, 24)])
+    def test_parties_evolve_as_at_four_with_wide_keys(self, scheme, terms, tagged):
         # keys 50 parties wide, which the 15-photon guard keeps from
-        # compute_metrics: each factor holds its N=4 terms, with norm 1
-        factors, _, _ = heralding._evolved_parties(build_scheme(scheme, 50, 0.9))
+        # compute_metrics: each factor holds its N=4 terms and tags, with norm 1
+        factors, tags, _ = heralding._evolved_parties(build_scheme(scheme, 50, 0.9))
         assert [len(f) for f in factors] == [terms] * 50
+        assert [len(t) for t in tags] == [tagged] * 50
         for factor in factors:
             assert norm_squared(factor) == pytest.approx(1.0, abs=1e-12)
 

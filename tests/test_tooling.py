@@ -1,8 +1,15 @@
-"""The benchmark harness wraps module attributes by name; they must stay."""
+"""The benchmark harness wraps module attributes by name and drives the CLI
+with fixed arguments; both must stay."""
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from heraldnet.cli import main
 
 HARNESS = Path(__file__).resolve().parent.parent / "benchmarks" / "run.py"
 
@@ -22,3 +29,37 @@ def test_benchmark_tracer_installs_on_the_real_modules(monkeypatch):
     assert all(getattr(hn.heralding, name) is not f for name, f in originals.items())
     tracer.uninstall()
     assert all(getattr(hn.heralding, name) is f for name, f in originals.items())
+
+
+def test_grid_argv_keeps_its_one_worker_flag(tmp_path, capsys):
+    # `benchmarks/run.py`'s grid workload passes `--workers 1`; verify runs in one
+    # process, so that is the flag's only value and it changes no byte
+    with_flag, without = tmp_path / "with.json", tmp_path / "without.json"
+    grid = ["verify", "--parties", "2..3", "--scheme", "all"]
+    assert main(grid + ["--workers", "1", "--out", str(with_flag)]) == 1
+    assert main(grid + ["--out", str(without)]) == 1
+    assert with_flag.read_bytes() == without.read_bytes() != b""
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_more_than_one_worker_is_refused(tmp_path, capsys, source):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"workers": 2}', encoding="utf-8")
+    extra = ["--workers", "2"] if source == "flag" else ["--config", str(config)]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--parties", "2", "--scheme", "bc", "--eta", "1"] + extra)
+    assert exc.value.code == 2
+    assert "argument --workers: invalid choice: 2" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_process_pool():
+    # verify has no worker path, so the CLI needs neither package
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, heraldnet.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout == "[]\n"
