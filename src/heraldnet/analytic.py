@@ -13,7 +13,7 @@ compared side by side.  Success probabilities agree everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .heralding import UndefinedMetricError
 from .schemes import DEFAULT_ALPHA, _check_params, _check_scheme, chord_length
@@ -211,8 +211,7 @@ def crossover_radius(
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class ChordAsymptote:
+class ChordAsymptote(NamedTuple):
     """Large-N limit of the crossover chord, with a numeric cross-check.
 
     ``analytic_limit_km`` is ln(2)/(2 alpha), obtained from the crossover

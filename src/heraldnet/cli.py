@@ -17,7 +17,6 @@ prints one ``error:`` line on stderr and exits with code 1.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -284,7 +283,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     def render(stream: TextIO) -> None:
         if fmt_choice == "json":
-            json.dump([dataclasses.asdict(r) for r in records], stream, indent=2)
+            json.dump([r._asdict() for r in records], stream, indent=2)
             stream.write("\n")
         else:
             write_sweep_csv(records, stream)
@@ -307,7 +306,7 @@ def cmd_crossover(args: argparse.Namespace) -> int:
         if fmt_choice == "json":
             json.dump({
                 "points": [p._asdict() for p in points],
-                "asymptote": dataclasses.asdict(asym) if asym else None,
+                "asymptote": asym._asdict() if asym else None,
             }, stream, indent=2)
             stream.write("\n")
             return

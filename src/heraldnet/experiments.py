@@ -1,6 +1,6 @@
 """Parameter sweeps and the analytic-versus-simulation verification campaign.
 
-Record streams are plain dataclasses with stable ordering so that repeated
+Record streams are named tuples with stable ordering so that repeated
 runs with the same inputs serialize byte for byte.  The verification
 campaign simulates each distinct case once, in sorted order and in this
 process, before it writes any row.
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .analytic import (
@@ -48,8 +47,7 @@ def agrees(analytic: float, simulated: float) -> bool:
     return math.isclose(analytic, simulated, rel_tol=VERIFY_TOL)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     scheme: str
     n_parties: int
     radius_km: float | None  # None when eta was given instead of a geometry
@@ -78,8 +76,7 @@ class SweepRecord:
         )
 
 
-@dataclass(frozen=True)
-class VerificationRow:
+class VerificationRow(NamedTuple):
     case_id: str
     scheme: str
     n_parties: int

@@ -29,9 +29,8 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 CANCEL_TOL = 1e-12
 
@@ -51,8 +50,7 @@ class ModeCollisionError(ValueError):
     """Raised when an occupied unmapped mode collides with a map output."""
 
 
-@dataclass(frozen=True)
-class Mode:
+class Mode(NamedTuple):
     """One bosonic mode of the network.
 
     Attributes:
@@ -60,13 +58,28 @@ class Mode:
         spatial_label: path name such as ``"b1"`` or ``"c3"``.
         polarization: ``"H"`` or ``"V"``.
         role: one of ``retained``, ``detector``, ``environment``, ``internal``.
+        registry: the registry that assigned ``index``; ``==``, ``hash`` and
+            ``repr`` leave it out.
     """
 
     index: int
     spatial_label: str
     polarization: str
     role: str
-    registry: "ModeRegistry" = field(compare=False, repr=False, default=None)  # type: ignore[assignment]
+    registry: ModeRegistry | None = None
+
+    def __eq__(self, other: object) -> bool:
+        return self[:4] == other[:4] if other.__class__ is Mode else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        return self[:4] != other[:4] if other.__class__ is Mode else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self[:4])
+
+    def __repr__(self) -> str:
+        return (f"Mode(index={self.index!r}, spatial_label={self.spatial_label!r}, "
+                f"polarization={self.polarization!r}, role={self.role!r})")
 
 
 class ModeRegistry:
@@ -115,20 +128,25 @@ class ModeRegistry:
         return len(self._modes)
 
 
-@dataclass
 class PhotonicState:
     """Sparse superposition of creation-operator monomials on vacuum.  It
     owns the ``amplitudes`` dict it is given, which is cleaned, not copied."""
 
-    registry: ModeRegistry
-    amplitudes: dict[int, complex] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
+    def __init__(self, registry: ModeRegistry, amplitudes: dict[int, complex] | None = None) -> None:
+        self.registry = registry
+        self.amplitudes = amplitudes = {} if amplitudes is None else amplitudes
         # In place and in key order: a cleaned copy would double a large state's peak.
-        amplitudes = self.amplitudes
         for key in [k for k, a in amplitudes.items() if not a]:
             del amplitudes[key]
         amplitudes.update([(k, complex(a)) for k, a in amplitudes.items() if type(a) is not complex])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not PhotonicState:
+            return NotImplemented
+        return (self.registry, self.amplitudes) == (other.registry, other.amplitudes)
+
+    def __repr__(self) -> str:
+        return f"PhotonicState(registry={self.registry!r}, amplitudes={self.amplitudes!r})"
 
     def __len__(self) -> int:
         return len(self.amplitudes)

@@ -26,9 +26,9 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import or_
+from typing import Iterable, NamedTuple
 
 from .fock import (
     BITS,
@@ -157,8 +157,7 @@ def detection_ready_state(build: SchemeBuild) -> PhotonicState:
     return product(factors, tags, keep)
 
 
-@dataclass(frozen=True)
-class PatternOutcome:
+class PatternOutcome(NamedTuple):
     """Everything the metrics need about a single click pattern.
 
     ``probability`` is the chance of seeing this pattern; ``ghz_amplitudes``
@@ -173,12 +172,12 @@ class PatternOutcome:
     ghz_amplitudes: tuple[complex, complex]
     environment_histogram: tuple[tuple[int, float], ...]
 
-    @cached_property
+    @property
     def success_probability(self) -> float:
         x, y = self.ghz_amplitudes
         return 0.5 * (abs(x) + abs(y)) ** 2
 
-    @cached_property
+    @property
     def fidelity(self) -> float:
         """Overlap with the best phase-corrected GHZ state, given the click;
         0 for a pattern that never happens."""
@@ -204,23 +203,31 @@ class PatternOutcome:
         return 0.0 if phase == 2.0 * math.pi else phase
 
 
-@dataclass(frozen=True)
-class Metrics:
+class _Metrics(NamedTuple):
     scheme: str
     n_parties: int
     eta: float
     p_suc: float
     p_hr: float
 
-    def __post_init__(self) -> None:
+
+class Metrics(_Metrics):
+    """Every construction is checked, ``_replace`` and ``_make`` included."""
+
+    __slots__ = ()
+
+    def __new__(cls, scheme: str, n_parties: int, eta: float, p_suc: float, p_hr: float) -> Metrics:
         slack = 1e-12
         # p_suc is a sum of squares, so it is never negative.
-        if not 0.0 <= self.p_suc <= self.p_hr * (1.0 + slack):
-            raise ValueError(
-                f"inconsistent metrics: p_suc={self.p_suc} p_hr={self.p_hr}"
-            )
-        if self.p_hr > 1.0 + slack:
-            raise ValueError(f"herald probability {self.p_hr} exceeds 1")
+        if not 0.0 <= p_suc <= p_hr * (1.0 + slack):
+            raise ValueError(f"inconsistent metrics: p_suc={p_suc} p_hr={p_hr}")
+        if p_hr > 1.0 + slack:
+            raise ValueError(f"herald probability {p_hr} exceeds 1")
+        return super().__new__(cls, scheme, n_parties, eta, p_suc, p_hr)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> Metrics:
+        return cls(*fields)
 
     @property
     def h_eff(self) -> float:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -49,15 +48,20 @@ ISOMETRY_TOL = 1e-12
 Column = tuple[tuple[int, complex], ...]
 
 
-@dataclass(frozen=True)
 class LinearMap:
     """Simultaneous substitution a_dag(in) -> sum coeff * a_dag(out).
 
     A map's columns must not change after construction: :func:`apply`
     caches its :attr:`plan` on first use."""
 
-    registry: ModeRegistry
-    columns: dict[int, Column] = field(default_factory=dict)
+    def __init__(self, registry: ModeRegistry, columns: dict[int, Column] | None = None) -> None:
+        self.registry = registry
+        self.columns = {} if columns is None else columns
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not LinearMap:
+            return NotImplemented
+        return (self.registry, self.columns) == (other.registry, other.columns)
 
     @cached_property
     def plan(self) -> tuple[int, int, dict[int, tuple[tuple[int, complex], ...]]]:

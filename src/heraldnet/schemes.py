@@ -31,8 +31,7 @@ Scheme summary (n parties, photon budget 2n):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .fock import (
     Mode,
@@ -68,20 +67,29 @@ def check_attenuation(alpha: float) -> None:
         raise GeometryError(f"attenuation must be finite and non-negative, got {alpha}")
 
 
-@dataclass(frozen=True)
-class NetworkGeometry:
-    """Parties on a circle of radius ``radius_km`` around the central node."""
-
+class _Geometry(NamedTuple):
     n_parties: int
     radius_km: float
     alpha: float = DEFAULT_ALPHA
 
-    def __post_init__(self) -> None:
-        if self.n_parties < 2:
+
+class NetworkGeometry(_Geometry):
+    """Parties on a circle of radius ``radius_km`` around the central node.
+    Every construction is checked, ``_replace`` and ``_make`` included."""
+
+    __slots__ = ()
+
+    def __new__(cls, n_parties: int, radius_km: float, alpha: float = DEFAULT_ALPHA) -> NetworkGeometry:
+        if n_parties < 2:
             raise GeometryError("a network needs at least two parties")
-        if not (math.isfinite(self.radius_km) and self.radius_km >= 0):
-            raise GeometryError(f"radius must be finite and non-negative, got {self.radius_km}")
-        check_attenuation(self.alpha)
+        if not (math.isfinite(radius_km) and radius_km >= 0):
+            raise GeometryError(f"radius must be finite and non-negative, got {radius_km}")
+        check_attenuation(alpha)
+        return super().__new__(cls, n_parties, radius_km, alpha)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> NetworkGeometry:
+        return cls(*fields)
 
     def link_length_km(self, scheme: str) -> float:
         """Fibre length per link: the radius for central schemes, the
@@ -102,8 +110,7 @@ def eta_for_geometry(scheme: str, geometry: NetworkGeometry) -> float:
     return math.exp(-geometry.alpha * geometry.link_length_km(scheme))
 
 
-@dataclass(frozen=True)
-class SchemeSpec:
+class SchemeSpec(NamedTuple):
     """Static description of a built network.
 
     ``detector_stations`` and ``retained_pairs`` are per-party (H, V) mode

@@ -42,6 +42,15 @@ def test_registration_assigns_dense_indices(registry):
     assert registry.get("b2", "V").index == 3
 
 
+def test_modes_compare_hash_and_print_without_their_registry(registry):
+    twin = ModeRegistry().register("b1", "H", "retained")
+    mode = registry.get("b1", "H")
+    assert twin.registry is not mode.registry
+    assert mode == twin and not mode != twin and hash(mode) == hash(twin)
+    assert mode != registry.get("b1", "V")
+    assert repr(twin) == "Mode(index=0, spatial_label='b1', polarization='H', role='retained')"
+
+
 def test_duplicate_registration_rejected(registry):
     with pytest.raises(RegistryError):
         registry.register("b1", "H", "retained")

@@ -1,7 +1,6 @@
 """Tests for click-pattern analysis and the heralded metrics."""
 
 import cmath
-import dataclasses
 import math
 import sys
 import time
@@ -310,7 +309,7 @@ class TestRingContraction:
         # meaning; coupled parties share environment modes, which close with
         # their k! weight
         sd = build_sd(n, eta)
-        relabelled = sd._replace(spec=dataclasses.replace(sd.spec, detection_basis="HV"))
+        relabelled = sd._replace(spec=sd.spec._replace(detection_basis="HV"))
         for build in (without_c1_plate(build_bc(n, eta)), without_c1_plate(build_sc(n, eta)),
                       TestBasisChange._canonical(sd), relabelled,
                       coupled_parties(build_bc(n, eta)), coupled_parties(build_sc(n, eta))):
@@ -471,8 +470,8 @@ class TestPatternOutcomes:
     def test_station_order_is_free(self, scheme):
         # listing the stations in reverse reverses every pattern and changes no float
         build = build_scheme(scheme, 3, 0.9)
-        spec = dataclasses.replace(
-            build.spec, detector_stations=tuple(reversed(build.spec.detector_stations))
+        spec = build.spec._replace(
+            detector_stations=tuple(reversed(build.spec.detector_stations))
         )
         reference = {o.pattern: o for o in analyze_patterns(build)}
         for outcome in analyze_patterns(build._replace(spec=spec)):
@@ -516,7 +515,7 @@ class TestBasisChange:
         plates = merge_maps([half_wave_plate(s) for s in build.spec.detector_stations])
         stages = (*build.stages[:-1], compose_maps(build.stages[-1], plates))
         return SchemeBuild(build.parties, stages,
-                           dataclasses.replace(build.spec, detection_basis="HV"))
+                           build.spec._replace(detection_basis="HV"))
 
     def test_canonical_detection_halves_ring_success(self):
         build = build_sd(2, 0.9)
@@ -535,10 +534,10 @@ class TestBasisChange:
     def test_relabelling_changes_only_the_letters(self):
         # the circuit fixes what each slot measures; the spec's basis only names it
         build = build_sd(3, 0.9)
-        relabelled = build._replace(spec=dataclasses.replace(build.spec, detection_basis="HV"))
+        relabelled = build._replace(spec=build.spec._replace(detection_basis="HV"))
         for da, hv in zip(analyze_patterns(build), analyze_patterns(relabelled)):
             assert hv.pattern == tuple("HV"["DA".index(c)] for c in da.pattern)
-            assert dataclasses.replace(hv, pattern=da.pattern) == da
+            assert hv._replace(pattern=da.pattern) == da
         reference, metrics = compute_metrics(build), compute_metrics(relabelled)
         assert (metrics.p_hr, metrics.p_suc) == (reference.p_hr, reference.p_suc)
 
@@ -566,6 +565,15 @@ class TestErrors:
     def test_metrics_reject_herald_above_one(self):
         with pytest.raises(ValueError):
             Metrics("bc", 2, 0.9, p_suc=0.5, p_hr=1.5)
+
+    def test_metrics_replace_and_make_are_checked(self):
+        # a named tuple's _replace and _make skip __new__ unless routed through it
+        metrics = Metrics("bc", 2, 0.9, p_suc=0.1, p_hr=0.2)
+        with pytest.raises(ValueError, match="inconsistent"):
+            metrics._replace(p_suc=0.3)
+        with pytest.raises(ValueError, match="exceeds 1"):
+            Metrics._make(("bc", 2, 0.9, 0.5, 1.5))
+        assert metrics._replace(p_hr=0.3) == Metrics("bc", 2, 0.9, p_suc=0.1, p_hr=0.3)
 
     def test_efficiency_undefined_without_heralds(self):
         with pytest.raises(UndefinedMetricError):

@@ -1,7 +1,6 @@
 """Tests for the three network builders and the ring geometry helpers."""
 
 import cmath
-import dataclasses
 import math
 
 import pytest
@@ -28,6 +27,14 @@ from heraldnet.schemes import (
 )
 
 MODES_PER_PARTY = {"bc": 8, "sc": 10, "sd": 14}
+
+INVALID_GEOMETRIES = [
+    {"n_parties": 1, "radius_km": 5.0},
+    {"n_parties": 3, "radius_km": -1.0},
+    {"n_parties": 3, "radius_km": 5.0, "alpha": -0.01},
+    {"n_parties": 3, "radius_km": 5.0, "alpha": math.nan},
+    {"n_parties": 3, "radius_km": math.inf},
+]
 
 
 def evolve(build):
@@ -80,19 +87,19 @@ class TestGeometry:
     def test_default_attenuation(self):
         assert NetworkGeometry(3, 1.0).alpha == DEFAULT_ALPHA
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"n_parties": 1, "radius_km": 5.0},
-            {"n_parties": 3, "radius_km": -1.0},
-            {"n_parties": 3, "radius_km": 5.0, "alpha": -0.01},
-            {"n_parties": 3, "radius_km": 5.0, "alpha": math.nan},
-            {"n_parties": 3, "radius_km": math.inf},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", INVALID_GEOMETRIES)
     def test_invalid_geometry(self, kwargs):
         with pytest.raises(GeometryError):
             NetworkGeometry(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", INVALID_GEOMETRIES)
+    def test_replace_and_make_are_checked(self, kwargs):
+        # a named tuple's _replace and _make skip __new__ unless routed through it
+        valid = NetworkGeometry(3, 5.0)
+        with pytest.raises(GeometryError):
+            valid._replace(**kwargs)
+        with pytest.raises(GeometryError):
+            NetworkGeometry._make({**valid._asdict(), **kwargs}.values())
 
     def test_unknown_scheme_name(self):
         with pytest.raises(ValueError):
@@ -272,7 +279,7 @@ class TestFeedforwardRules:
         for scheme, offset in (("bc", n), ("sc", n), ("sd", 0)):
             spec = build_scheme(scheme, n, 0.9).spec
             assert spec.feedforward_offset == offset
-            relabelled = dataclasses.replace(spec, detection_basis="XY")
+            relabelled = spec._replace(detection_basis="XY")
             for k in range(n + 1):
                 pattern = ("Y",) * k + ("X",) * (n - k)
                 assert relabelled.feedforward_rule(pattern) == math.pi * ((k + offset) % 2)
