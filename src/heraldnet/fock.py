@@ -21,16 +21,17 @@ Conventions:
   :func:`inner_product`); states drop exact zeros on construction and
   nothing else, so an amplitude is never lost for being small.
 * A monomial holds at most ``MAX_OCCUPATION`` photons, so no occupation
-  carries into the next mode's bits: photons enter only through
-  :func:`with_photons` and :func:`product`, which check the total, and
-  linear maps conserve it.
+  carries into the next mode's bits: photons enter only by adding keys, in
+  :func:`with_photons`, :func:`product` and :func:`join`.  The first two
+  check the total with :func:`_check_photons`, whatever calls :func:`join`
+  calls it first, and linear maps conserve it.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 CANCEL_TOL = 1e-12
 
@@ -212,45 +213,42 @@ def photons(key: int) -> int:
             + 4 * (key >> 2 & ones).bit_count() + 8 * (key >> 3 & ones).bit_count())
 
 
-def product(factors: Sequence[PhotonicState], tags: Sequence[Mapping[int, int]] | None = None,
-            keep: Callable[[int, int], bool] = lambda j, tag: True) -> PhotonicState:
-    """The product of states, taken one factor at a time; factors may share modes.
-
-    ``tags[j]`` tags each term of factor ``j`` that may take part with a
-    small int (default: every term, 0).  A partial's tag is the sum of its
-    terms' tags; partials are grouped by tag, and ``keep(j, t)`` is asked
-    once per pair of a partial tag and a term tag.  Like terms merge
-    through :func:`cancel_add`, and exact zeros are dropped after each
-    factor.  Raises ``ValueError`` past ``MAX_OCCUPATION`` photons before
-    multiplying."""
-    registry, most = factors[0].registry, 0
-    for factor in factors:
-        if factor.registry is not registry:
-            raise RegistryError("cannot multiply states from different registries")
-        most += max(map(photons, factor.amplitudes), default=0)
-    if most > MAX_OCCUPATION:
+def _check_photons(factors: Iterable[Iterable[int]], added: int = 0) -> None:
+    """Raise ``ValueError`` where the most photons a key of each factor holds,
+    plus ``added``, sum past ``MAX_OCCUPATION``: a sum of one key of each
+    factor could then carry out of a mode's bits."""
+    for keys in factors:
+        added += max([photons(key) for key in keys] or [0])
+    if added > MAX_OCCUPATION:
         raise ValueError(f"a monomial holds at most {MAX_OCCUPATION} photons")
-    tags = tags or [dict.fromkeys(factor.amplitudes, 0) for factor in factors]
-    partials, last = {0: {0: 1 + 0j}}, len(factors) - 1  # partials: tag -> key -> amplitude
-    for j, (factor, tag) in enumerate(zip(factors, tags)):
-        groups: dict[int, list[tuple[int, complex]]] = {}
-        for new, t in tag.items():
-            groups.setdefault(t, []).append((new, factor.amplitudes[new]))
-        # The largest groups go first and each is freed once used, which keeps
-        # the peak low; the full products carry no tag, so they share one map.
-        grown: dict[int, dict[int, complex]] = {}
-        for p in sorted(partials, key=lambda t: -len(partials[t])):
-            olds = partials.pop(p)
-            for t, terms in groups.items():
-                if keep(j, p + t):
-                    out = grown.setdefault(p + t if j < last else 0, {})
-                    for new, b in terms:
-                        for old, a in olds.items():
-                            cur = out.get(key := old + new)
-                            out[key] = a * b if cur is None else cancel_add(cur, a * b)
-        if j == last:
-            return PhotonicState(registry, grown.get(0, {}))
-        partials = {t: {k: a for k, a in out.items() if a} for t, out in grown.items()}
+
+
+def join(state: dict[int, complex], local: dict[int, complex]) -> dict[int, complex]:
+    """Every sum of a key of ``state`` and a key of ``local``, with the
+    product of their values; like keys merge through :func:`cancel_add`.
+    The caller keeps the total photon count within ``MAX_OCCUPATION``."""
+    out: dict[int, complex] = {}
+    get = out.get
+    for key, v in state.items():
+        for step, u in local.items():
+            cur = get(joined := key + step)
+            out[joined] = v * u if cur is None else cancel_add(cur, v * u)
+    return out
+
+
+def product(factors: Sequence[PhotonicState]) -> PhotonicState:
+    """The product of states, taken one factor at a time; factors may share
+    modes.  Like terms merge through :func:`cancel_add`, and exact zeros are
+    dropped after each factor.  Raises ``ValueError`` past ``MAX_OCCUPATION``
+    photons before multiplying."""
+    registry = factors[0].registry
+    if any(factor.registry is not registry for factor in factors):
+        raise RegistryError("cannot multiply states from different registries")
+    _check_photons(factor.amplitudes for factor in factors)
+    state = {0: 1 + 0j}
+    for factor in factors:
+        state = {k: a for k, a in join(factor.amplitudes, state).items() if a}
+    return PhotonicState(registry, state)
 
 
 def state_from_creation_product(
@@ -268,10 +266,7 @@ def state_from_creation_product(
 def with_photons(state: PhotonicState, counts: Mapping[int, int]) -> PhotonicState:
     """Every monomial of ``state`` times ``counts[i]`` extra creation
     operators on mode ``i``; amplitudes are unchanged."""
-    added = sum(counts.values())
-    for key in state.amplitudes:
-        if added + photons(key) > MAX_OCCUPATION:
-            raise ValueError(f"a monomial holds at most {MAX_OCCUPATION} photons")
+    _check_photons([state.amplitudes], sum(counts.values()))
     extra = pack(counts)
     return PhotonicState(state.registry, {key + extra: a for key, a in state.amplitudes.items()})
 

@@ -17,8 +17,9 @@ per GHZ branch for the amplitudes.  Both sweeps read one per-party closing
 plan: each detector station, each other mode that several parties reach
 and each retained pair closes right after the last party that reaches it.
 :func:`detection_ready_state` forms the heralded ket (about 8^N terms) from
-the same per-party evolution; nothing here calls it, and the tests use it
-as the independent reference.
+the same per-party heralding terms, with its own herald filter on the
+keys' station slots and no closing plan; nothing here calls it, and the
+tests use it as the independent reference.
 """
 
 from __future__ import annotations
@@ -35,14 +36,15 @@ from .fock import (
     MAX_OCCUPATION,
     Mode,
     PhotonicState,
+    _check_photons,
     _monomial_weight,
     _ones,
     cancel_add,
     inner_product,  # noqa: F401 - benchmarks/run.py --trace 1 times heralding.inner_product
+    join,
     norm_squared,  # noqa: F401 - benchmarks/run.py --trace 1 times heralding.norm_squared
     pack,
     photons,
-    product,
 )
 from .optics import apply
 from .schemes import SchemeBuild, SchemeSpec
@@ -51,9 +53,10 @@ from .schemes import SchemeBuild, SchemeSpec
 # ket any more: on 2 cores, Python 3.11, one fresh process per case, every
 # scheme's compute_metrics at N=6 or 7 takes 2 to 6 ms and 16 MB (eta 0.9 and
 # 0.5), and analyze_patterns at N=7 and eta 0.9 under 0.1 s and 20 MB.
-# What refuses N=8 is the sweeps' guard on 15 photons in all (_contraction):
-# every scheme has 16 there, although a packed key holds 15 photons per mode
-# (MAX_OCCUPATION), not 15 in all.
+# What refuses N=8 is fock's guard on 15 photons in all, which _contraction
+# calls before the sweeps add packed keys: every scheme has 16 there,
+# although a packed key holds 15 photons per mode (MAX_OCCUPATION), not 15
+# in all.
 ORACLE_MAX_PARTIES = 7
 
 
@@ -95,9 +98,7 @@ def enumerate_patterns(n: int, letters: str) -> list[tuple[str, ...]]:
 
 def station_masks(spec: SchemeSpec) -> tuple[int, ...]:
     """The packed mask of each detector station's two modes, in station order."""
-    return tuple(
-        pack(dict.fromkeys((h.index, v.index), MAX_OCCUPATION)) for h, v in spec.detector_stations
-    )
+    return tuple(mask for mask, _, _ in _slots(spec.detector_stations))
 
 
 def _occupied(key: int) -> int:
@@ -105,56 +106,68 @@ def _occupied(key: int) -> int:
     return ((key | key >> 1 | key >> 2 | key >> 3) & _ones(key.bit_length())) * MAX_OCCUPATION
 
 
-def _evolved_parties(build: SchemeBuild) -> tuple[list[PhotonicState], list[dict[int, int]],
-                                                  list[int]]:
+def _evolved_parties(build: SchemeBuild) -> tuple[list[PhotonicState],
+                                                  list[list[tuple[int, complex]]], list[int]]:
     """Each party's factor through every stage of ``build.stages`` on its
     own, which is exact for every scheme because substitution is
-    multiplicative; each factor's station tags; and each factor's footprint,
-    the packed mask of the modes its terms reach.  A tag packs a term's
-    photon count in each station into a nibble, so tags add; a term with two
-    photons in one station can take part in no herald and gets no tag."""
-    stations = list(enumerate(_slots(build.spec.detector_stations)))
-    factors, tags, footprints = [], [], []
+    multiplicative; each factor's heralding terms, the ``(key, amplitude)``
+    pairs with at most one photon in each station; and each factor's
+    footprint, the packed mask of the modes its terms reach."""
+    stations = _slots(build.spec.detector_stations)
+    factors, terms, footprints = [], [], []
     for party in build.parties:
         factor = reduce(lambda state, stage: apply(stage, state), build.stages, party)
         # OR keeps every nonzero nibble nonzero, so one mask serves all keys.
         footprint = _occupied(reduce(or_, factor.amplitudes, 0))
-        reached = [(1 << BITS * s, m, h, v) for s, (m, h, v) in stations if footprint & m]
-        tag = {}
-        for k in factor.amplitudes:
-            t = 0
-            for one, m, h, v in reached:
-                if (part := k & m) in (h, v):
-                    t += one
-                elif part:
+        reached = [s for s in stations if footprint & s[0]]
+        kept = []
+        for k, a in factor.amplitudes.items():
+            for m, h, v in reached:
+                if (part := k & m) and part not in (h, v):
                     break
             else:
-                tag[k] = t
+                kept.append((k, a))
         factors.append(factor)
-        tags.append(tag)
+        terms.append(kept)
         footprints.append(footprint)
-    return factors, tags, footprints
+    return factors, terms, footprints
 
 
 def detection_ready_state(build: SchemeBuild) -> PhotonicState:
     """The heralded part of the evolved state, of squared norm P_hr: the
     tests' reference for the contraction, about 8^N terms.
 
-    The product of the evolved party factors (:func:`heraldnet.fock.product`)
-    keeps a partial while no station holds two photons and every station
-    whose last feeding party is multiplied in holds exactly one.
+    The heralding terms of the evolved party factors are multiplied one
+    party at a time, as :func:`heraldnet.fock.product` multiplies states.
+    A partial is kept while no station holds two photons and every station
+    that no later party feeds holds exactly one.  Partials are grouped by
+    their photons in the stations a later party feeds, and terms by theirs
+    in every station, so that test runs once per pair of groups.
     """
-    factors, tags, _ = _evolved_parties(build)
-    ones = _ones(BITS * len(build.spec.detector_stations))
-    doubled = ones * (MAX_OCCUPATION - 1)
-    # closed[j]: a one in the nibble of each station that no party after j feeds.
-    fed = [reduce(or_, tag.values(), 0) for tag in tags]
-    closed = [ones & ~reduce(or_, fed[j + 1:], 0) for j in range(len(tags))]
-
-    def keep(j: int, tag: int) -> bool:
-        return not tag & doubled and tag & closed[j] == closed[j]
-
-    return product(factors, tags, keep)
+    _check_photons(party.amplitudes for party in build.parties)
+    _, terms, footprints = _evolved_parties(build)
+    stations = _slots(build.spec.detector_stations)
+    station_modes = sum(mask for mask, _, _ in stations)
+    grown, opened = {0: {0: 1 + 0j}}, stations  # before party 0 every station is open
+    for j, own in enumerate(terms):
+        later = reduce(or_, footprints[j + 1:], 0)
+        checks = [(m, (0, h, v) if m & later else (h, v)) for m, h, v in opened]
+        opened = [s for s in opened if s[0] & later]
+        open_modes = sum(mask for mask, _, _ in opened)
+        groups: dict[int, list[tuple[int, complex]]] = {}
+        for key, b in own:
+            groups.setdefault(key & station_modes, []).append((key, b))
+        partials, grown = {t: {k: a for k, a in out.items() if a} for t, out in grown.items()}, {}
+        for p in list(partials):
+            olds = partials.pop(p)  # freed once used, which keeps the peak low
+            for g, news in groups.items():
+                if all((p + g) & m in ok for m, ok in checks):
+                    out = grown.setdefault((p + g) & open_modes, {})
+                    for new, b in news:
+                        for old, a in olds.items():
+                            cur = out.get(key := old + new)
+                            out[key] = a * b if cur is None else cancel_add(cur, a * b)
+    return PhotonicState(build.spec.registry, reduce(or_, grown.values(), {}))
 
 
 class PatternOutcome(NamedTuple):
@@ -242,19 +255,6 @@ def _merge(out: dict[int, complex], key: int, value: complex) -> None:
     out[key] = value if cur is None else cancel_add(cur, value)
 
 
-def _join(state: dict[int, complex], local: dict[int, complex]) -> dict[int, complex]:
-    """Every sum of a key of ``state`` and a key of ``local``, with the
-    product of their values; like keys merge through
-    :func:`heraldnet.fock.cancel_add`."""
-    out: dict[int, complex] = {}
-    get = out.get
-    for key, v in state.items():
-        for step, u in local.items():
-            cur = get(joined := key + step)
-            out[joined] = v * u if cur is None else cancel_add(cur, v * u)
-    return out
-
-
 def _slots(pairs: tuple[tuple[Mode, Mode], ...]) -> list[tuple[int, int, int]]:
     """Each (H, V) mode pair's packed mask, and the keys of one photon in its
     H mode and in its V mode."""
@@ -272,19 +272,18 @@ def _contraction(build: SchemeBuild) -> list[tuple]:
     party 0, where its condition fails.  The sweeps add packed keys, so, as
     :func:`heraldnet.fock.product` does, this raises ``ValueError`` past
     ``MAX_OCCUPATION`` photons in all."""
-    if sum(max(map(photons, f.amplitudes), default=0) for f in build.parties) > MAX_OCCUPATION:
-        raise ValueError(f"a monomial holds at most {MAX_OCCUPATION} photons")
-    factors, tags, footprints = _evolved_parties(build)
+    _check_photons(party.amplitudes for party in build.parties)
+    _, terms, footprints = _evolved_parties(build)
     stations, pairs = _slots(build.spec.detector_stations), _slots(build.spec.retained_pairs)
     station_modes = sum(mask for mask, _, _ in stations)
     steps = []
-    for j, (factor, tag, footprint) in enumerate(zip(factors, tags, footprints)):
+    for j, (own, footprint) in enumerate(zip(terms, footprints)):
         earlier, later = reduce(or_, footprints[:j], 0), reduce(or_, footprints[j + 1:], 0)
         # A station or pair closes here if no later party reaches it, and this one does.
         closing, closed = ([s for s in slots if not s[0] & later and (s[0] & footprint or not j)]
                            for slots in (stations, pairs))
         lone = [p for p in closed if p[0] & footprint and not p[0] & earlier]
-        steps.append(([(k, factor.amplitudes[k]) for k in tag],
+        steps.append((own,
                       footprint & ~(earlier | later | station_modes),
                       sum(mask for mask, _, _ in closing),
                       {sum(keys) for keys in itertools.product(*((h, v) for _, h, v in closing))},
@@ -325,7 +324,7 @@ def _density(steps: list[tuple], width: int, signature: int = 0,
         shut = stations | settle
         rest = ~(shut & ~signature | shut << width)
         losing = settle & counted
-        grown, rho = _join(rho, {k: v for k, v in local.items() if v}), {}
+        grown, rho = join(rho, {k: v for k, v in local.items() if v}), {}
         for key, v in grown.items():
             ket, bra = key & low, key >> width
             if v and ket & stations in clicks and not (ket ^ bra) & shut:
@@ -359,7 +358,7 @@ def _branch_overlaps(steps: list[tuple], spec: SchemeSpec) -> list[dict[int, com
             for key, a in terms:
                 if not key & stray and (a := project(key, a, own)):
                     _merge(local, key & kept, a)
-            grown, state = _join(state, local), {}
+            grown, state = join(state, local), {}
             for key, v in grown.items():
                 if key & stations in clicks and (v := project(key, v, shut)):
                     _merge(state, key & rest, v)

@@ -276,31 +276,6 @@ def test_product_routes_that_cancel_leave_no_key(registry):
     assert sorted(out.amplitudes) == sorted([pack({x.index: 2}), pack({y.index: 2})])
 
 
-def test_product_keep_runs_once_per_pair_of_tags(registry):
-    # Each term is tagged with its photons in c1; keeping at most one there
-    # asks keep once per pair of a partial tag and a term tag: 1 x 2, then 2 x 2.
-    c1 = pack({registry.get("c1", p).index: MAX_OCCUPATION for p in "HV"})
-
-    def singles(labels):
-        modes = [registry.get(label, p) for label in labels for p in "HV"]
-        return superpose([(0.5 + 0.1j * i, state_from_creation_product(registry, [m]))
-                          for i, m in enumerate(modes)])
-
-    factors = [singles(["b1", "c1"]), singles(["b2", "c1"])]
-    tags = [{k: photons(k & c1) for k in f.amplitudes} for f in factors]
-    calls = []
-
-    def keep(j, tag):
-        calls.append((j, tag))
-        return tag <= 1
-
-    kept = product(factors, tags, keep)
-    assert sorted(calls) == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 1), (1, 2)]
-    full = product(factors).amplitudes
-    assert kept.amplitudes == {k: a for k, a in full.items() if photons(k & c1) <= 1}
-    assert (len(kept), len(full)) == (12, 15)
-
-
 def test_states_from_different_registries_do_not_mix(registry):
     other = ModeRegistry()
     m = other.register("b1", "H", "retained")

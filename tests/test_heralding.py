@@ -10,9 +10,9 @@ import pytest
 
 from conftest import (explicit_evolution, heralded_part, ket_metrics, reference_outcomes,
                       without_c1_plate)
-from heraldnet import heralding, schemes
+from heraldnet import fock, heralding, schemes
 from heraldnet.analytic import closed_p_hr, closed_p_suc, exact_h_eff, exact_p_hr
-from heraldnet.fock import norm_squared, occupations, photons, product, with_photons
+from heraldnet.fock import norm_squared, occupations, photons, with_photons
 from heraldnet.heralding import (
     ORACLE_MAX_PARTIES,
     Metrics,
@@ -155,22 +155,32 @@ class TestDetectionPipeline:
     @staticmethod
     def _trace(monkeypatch, build):
         """The (stage, state, output) of each ``apply`` call the evolution
-        makes, the factors and tags it multiplies with the size of the product
-        of each proper prefix of the parties, and the ready state."""
+        makes, the evolved factors with the heralding terms the reference
+        multiplies, the size of its product of each proper prefix of the
+        parties, and the ready state."""
         calls, seen = [], {}
+        evolve = heralding._evolved_parties
 
         def record(stage, state):
             calls.append((stage, state, apply(stage, state)))
             return calls[-1][2]
 
-        def traced_product(factors, tags, keep):
-            seen.update(factors=factors, tags=tags, sizes=[
-                len(product(factors[:j], tags[:j], keep)) for j in range(1, len(factors))])
-            return product(factors, tags, keep)
+        def traced(build):
+            seen.update(zip(("factors", "terms", "footprints"), evolve(build)))
+            return seen["factors"], seen["terms"], seen["footprints"]
 
         monkeypatch.setattr(heralding, "apply", record)
-        monkeypatch.setattr(heralding, "product", traced_product)
-        return calls, seen, detection_ready_state(build)
+        monkeypatch.setattr(heralding, "_evolved_parties", traced)
+        ready = detection_ready_state(build)
+        # the first j parties' terms with every party's footprint: the
+        # stations a later party feeds stay open, so the reference returns
+        # its partial product after party j
+        seen["sizes"] = []
+        for j in range(1, len(build.parties)):
+            monkeypatch.setattr(heralding, "_evolved_parties", lambda build, j=j: (
+                seen["factors"][:j], seen["terms"][:j], seen["footprints"]))
+            seen["sizes"].append(len(detection_ready_state(build)))
+        return calls, seen, ready
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("n", [2, 3])
@@ -195,7 +205,7 @@ class TestDetectionPipeline:
         # 682,871 after every stage)
         _, seen, ready = self._trace(monkeypatch, build_sd(4, 0.9))
         assert [len(f) for f in seen["factors"]] == [30] * 4
-        assert [len(t) for t in seen["tags"]] == [24] * 4
+        assert [len(t) for t in seen["terms"]] == [24] * 4
         assert (seen["sizes"], len(ready)) == ([24, 216, 1728], 2592)
 
     def test_central_product_counts(self, monkeypatch):
@@ -204,28 +214,35 @@ class TestDetectionPipeline:
         # meet on 4,096 keys and half of them cancel to exact zeros
         _, seen, ready = self._trace(monkeypatch, build_sc(4, 0.9))
         assert [len(f) for f in seen["factors"]] == [26] * 4
-        assert [len(t) for t in seen["tags"]] == [20] * 4
+        assert [len(t) for t in seen["terms"]] == [20] * 4
         assert (seen["sizes"], len(ready)) == ([20, 192, 1792], 2048)
 
-    @pytest.mark.parametrize("scheme, terms, tagged", [("bc", 10, 10), ("sc", 26, 20),
-                                                       ("sd", 30, 24)])
-    def test_parties_evolve_as_at_four_with_wide_keys(self, scheme, terms, tagged):
+    @pytest.mark.parametrize("scheme, size, heralding_size", [("bc", 10, 10), ("sc", 26, 20),
+                                                              ("sd", 30, 24)])
+    def test_parties_evolve_as_at_four_with_wide_keys(self, scheme, size, heralding_size):
         # keys 50 parties wide, which the 15-photon guard keeps from
-        # compute_metrics: each factor holds its N=4 terms and tags, with norm 1
-        factors, tags, _ = heralding._evolved_parties(build_scheme(scheme, 50, 0.9))
-        assert [len(f) for f in factors] == [terms] * 50
-        assert [len(t) for t in tags] == [tagged] * 50
+        # compute_metrics: each factor holds its N=4 terms and heralding
+        # terms, with norm 1
+        factors, terms, _ = heralding._evolved_parties(build_scheme(scheme, 50, 0.9))
+        assert [len(f) for f in factors] == [size] * 50
+        assert [len(t) for t in terms] == [heralding_size] * 50
         for factor in factors:
             assert norm_squared(factor) == pytest.approx(1.0, abs=1e-12)
 
-    def test_parties_coupled_before_the_last_stage_share_modes(self, monkeypatch):
-        # the product of factors that share modes is still the evolved state
-        coupled = coupled_parties(build_bc(2, 0.9))
+    @pytest.mark.parametrize("builder, n, eta, size", [
+        (build_bc, 2, 0.9, 8), (build_bc, 3, 1.0, 32), (build_bc, 3, 0.9, 32), (build_bc, 3, 0.3, 32),
+        (build_sc, 3, 1.0, 64), (build_sc, 3, 0.9, 496), (build_sc, 3, 0.3, 496)])
+    def test_parties_coupled_before_the_last_stage_share_modes(self, monkeypatch, builder, n, eta,
+                                                               size):
+        # the product of factors that share modes is still the evolved state;
+        # at N=3 three parties feed stations d1 and d3
+        coupled = coupled_parties(builder(n, eta))
         _, seen, ready = self._trace(monkeypatch, coupled)
-        first, second = ({i for k in f.amplitudes for i, _ in occupations(k)} for f in seen["factors"])
+        first, second = ({i for k in f.amplitudes for i, _ in occupations(k)}
+                         for f in seen["factors"][:2])
         assert first & second
         self._assert_heralded_part(coupled, ready, explicit_evolution(coupled), bitwise=False)
-        assert len(ready) == 8
+        assert len(ready) == size
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_pattern_probabilities_sum_to_herald(self, scheme):
@@ -361,8 +378,9 @@ class TestRingContraction:
         def refuse(*args, **kwargs):
             raise AssertionError("the heralded ket was formed")
 
-        for name in ("product", "detection_ready_state"):
-            monkeypatch.setattr(heralding, name, refuse)
+        monkeypatch.setattr(heralding, "detection_ready_state", refuse)
+        for module in (fock, schemes):
+            monkeypatch.setattr(module, "product", refuse)
         build = build_scheme("sc", 7, 0.9)
         metrics = compute_metrics(build)
         self._assert_matches_closed_forms(metrics)
@@ -428,20 +446,27 @@ class TestPatternOutcomes:
             assert abs(x) == pytest.approx(abs(y), abs=1e-10)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", range(2, ORACLE_MAX_PARTIES + 1))
     def test_phases_follow_feedforward_rule(self, scheme, n):
-        # at eta = 1e-4 sd's GHZ amplitudes lie below 1e-12 sqrt(probability),
-        # and are still no rounding residue
-        etas = (0.9, 1e-4, 1e-7) if (scheme, n) == ("sd", 2) else (0.9, 1e-4)
+        # the rule's correction reaches the best-phase P_suc,
+        # 1/2 sum_p |x_p + e^(-i phi_rule(p)) y_p|^2; at eta = 1e-4 sd's GHZ
+        # amplitudes lie below 1e-12 sqrt(probability), and are still no
+        # rounding residue
+        etas = (1.0, 0.9, 0.5, 0.1, 0.01) if n < 6 else (1.0, 0.5, 0.01)
+        if n < 4:
+            etas += (1e-4, 1e-7) if (scheme, n) == ("sd", 2) else (1e-4,)
         for eta in etas:
             build = build_scheme(scheme, n, eta)
+            corrected = 0.0
             for outcome in analyze_patterns(build):
-                if outcome.probability <= 0.0:
-                    continue
-                expected = build.spec.feedforward_rule(outcome.pattern) % (2.0 * math.pi)
-                assert outcome.feedforward_phase() == pytest.approx(
-                    expected, abs=1e-9
-                ), (eta, outcome.pattern)
+                x, y = outcome.ghz_amplitudes
+                phase = build.spec.feedforward_rule(outcome.pattern)
+                corrected += 0.5 * abs(x + cmath.exp(-1j * phase) * y) ** 2
+                if outcome.probability > 0.0:
+                    assert outcome.feedforward_phase() == pytest.approx(
+                        phase % (2.0 * math.pi), abs=1e-9
+                    ), (eta, outcome.pattern)
+            assert math.isclose(corrected, compute_metrics(build).p_suc, rel_tol=1e-12), eta
 
     @pytest.mark.parametrize("builder", [build_bc, build_sc])
     def test_compensation_plates_do_not_change_outcomes(self, builder):
@@ -647,20 +672,14 @@ class TestErrors:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_photon_guard_fires_before_any_multiplication(self, monkeypatch, scheme):
         # N=8 holds 16 photons; the guard reads every factor before the first
-        # product is taken, so no partial product is tested or formed
+        # product is taken: build.state joins no two states, and the
+        # reference evolves no party, so it has no terms to multiply
         build = build_scheme(scheme, 8, 0.9)
-        tested = []
-
-        def counted_product(factors, tags=None, keep=lambda j, tag: True):
-            def counted(j, tag):
-                tested.append(j)
-                return keep(j, tag)
-            return product(factors, tags, counted)
-
-        monkeypatch.setattr(heralding, "product", counted_product)
-        monkeypatch.setattr(schemes, "product", counted_product)
+        formed = []
+        monkeypatch.setattr(fock, "join", lambda *args: formed.append(args))
+        monkeypatch.setattr(heralding, "_evolved_parties", formed.append)
         with pytest.raises(ValueError, match="at most 15 photons"):
             build.state
         with pytest.raises(ValueError, match="at most 15 photons"):
             detection_ready_state(build)
-        assert tested == []
+        assert formed == []
