@@ -60,20 +60,10 @@ class SweepRecord(NamedTuple):
     source: str
 
     def csv_row(self) -> str:
-        return ",".join(
-            (
-                self.scheme,
-                str(self.n_parties),
-                "" if self.radius_km is None else fmt(self.radius_km),
-                fmt(self.alpha),
-                fmt(self.eta),
-                fmt(self.p_suc),
-                fmt(self.p_hr),
-                fmt(self.h_eff),
-                fmt(self.h_th),
-                self.source,
-            )
-        )
+        """The fields in order: floats through :func:`fmt`, ints and strings as
+        they are, so a huge N keeps every digit, and no radius as ""."""
+        return ",".join(fmt(v) if isinstance(v, float) else "" if v is None else str(v)
+                        for v in self)
 
 
 class VerificationRow(NamedTuple):
@@ -95,18 +85,9 @@ class VerificationRow(NamedTuple):
         return agrees(self.analytic, self.simulated)
 
     def as_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "scheme": self.scheme,
-            "n_parties": self.n_parties,
-            "eta": self.eta,
-            "metric": self.metric,
-            "analytic": self.analytic,
-            "simulated": self.simulated,
-            "abs_diff": self.abs_diff,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        row = self._asdict()
+        row["abs_diff"], row["passed"], row["note"] = self.abs_diff, self.passed, row.pop("note")
+        return row
 
 
 def analytic_record(

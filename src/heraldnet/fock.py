@@ -15,8 +15,8 @@ Conventions:
 * Monomials are products of bare creation operators, so the squared norm of
   a single term with amplitude ``a`` and occupations ``k_1..k_m`` is
   ``|a|^2 * k_1! * ... * k_m!``.
-* A sum whose magnitude is at most ``CANCEL_TOL`` times the sum of its
-  parts' magnitudes is rounding residue of a cancellation and is stored as an
+* A sum whose magnitude is at most ``CANCEL_TOL`` = 2^-46 times the sum of
+  its parts' magnitudes is rounding residue of a cancellation, stored as an
   exact zero (:func:`cancel_residue`, used by :func:`cancel_add` and
   :func:`inner_product`); states drop exact zeros on construction and
   nothing else, so an amplitude is never lost for being small.
@@ -33,7 +33,9 @@ import math
 from functools import cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-CANCEL_TOL = 1e-12
+# A true zero, summed from parts of k < 128 roundings each, reads at most gamma_k = k u / (1 - k u)
+# < 128 u of their magnitudes, u = 2^-53 (Higham 2002, sec. 3.1); so a larger sum is an amplitude.
+CANCEL_TOL = 2.0 ** -46
 
 # Bits per mode in a packed monomial key: one hex digit per mode, which
 # occupations() reads directly.

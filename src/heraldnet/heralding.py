@@ -16,10 +16,12 @@ ring, a density sweep for the herald probability and one ket-only sweep
 per GHZ branch for the amplitudes.  Both sweeps read one per-party closing
 plan: each detector station, each other mode that several parties reach
 and each retained pair closes right after the last party that reaches it.
+A party reaches the modes of its light cone, read off the circuit
+(:func:`_light_cones`): a superset only closes a unit later, still exactly.
 :func:`detection_ready_state` forms the heralded ket (about 8^N terms) from
-the same per-party heralding terms, with its own herald filter on the
-keys' station slots and no closing plan; nothing here calls it, and the
-tests use it as the independent reference.
+the same per-party heralding terms and cones, with its own herald filter
+on the keys' station slots and no closing plan; nothing here calls it, and
+the tests use it as the independent reference.
 """
 
 from __future__ import annotations
@@ -101,25 +103,39 @@ def station_masks(spec: SchemeSpec) -> tuple[int, ...]:
     return tuple(mask for mask, _, _ in _slots(spec.detector_stations))
 
 
-def _occupied(key: int) -> int:
-    """The packed mask of every mode that ``key`` holds a photon in."""
-    return ((key | key >> 1 | key >> 2 | key >> 3) & _ones(key.bit_length())) * MAX_OCCUPATION
-
-
-def _evolved_parties(build: SchemeBuild) -> tuple[list[PhotonicState],
-                                                  list[list[tuple[int, complex]]], list[int]]:
-    """Each party's factor through every stage of ``build.stages`` on its
-    own, which is exact for every scheme because substitution is
-    multiplicative; each factor's heralding terms, the ``(key, amplitude)``
-    pairs with at most one photon in each station; and each factor's
-    footprint, the packed mask of the modes its terms reach."""
-    stations = _slots(build.spec.detector_stations)
-    factors, terms, footprints = [], [], []
+def _light_cones(build: SchemeBuild) -> list[int]:
+    """Each party's light cone, the packed mask of the modes it reaches: its
+    initial modes through every stage, each occupied mapped mode swapped for
+    its column's outputs in the stage's cached ``plan``, as :func:`apply`
+    does.  Columns hold no zero, so a cone is the modes the evolved factor
+    occupies, or a superset of them where amplitudes cancel."""
+    cones = []
     for party in build.parties:
+        # A bit per occupied mode; OR keeps every nonzero nibble nonzero.
+        key = reduce(or_, party.amplitudes, 0)
+        cone = (key | key >> 1 | key >> 2 | key >> 3) & _ones(key.bit_length())
+        for stage in build.stages:
+            in_mask, _, steps = stage.plan
+            mapped = cone & in_mask
+            cone ^= mapped
+            while mapped:
+                mapped ^= (low := mapped & -mapped)
+                for step, _ in steps[low.bit_length() - 1]:
+                    cone |= step
+        cones.append(cone * MAX_OCCUPATION)
+    return cones
+
+
+def _evolved_parties(build: SchemeBuild, cones: list[int]) -> list[list[tuple[int, complex]]]:
+    """Each party's heralding terms: the ``(key, amplitude)`` pairs of its
+    factor through every stage of ``build.stages`` on its own, which is
+    exact for every scheme because substitution is multiplicative, with at
+    most one photon in each station its cone reaches."""
+    stations = _slots(build.spec.detector_stations)
+    terms = []
+    for party, cone in zip(build.parties, cones):
         factor = reduce(lambda state, stage: apply(stage, state), build.stages, party)
-        # OR keeps every nonzero nibble nonzero, so one mask serves all keys.
-        footprint = _occupied(reduce(or_, factor.amplitudes, 0))
-        reached = [s for s in stations if footprint & s[0]]
+        reached = [s for s in stations if cone & s[0]]
         kept = []
         for k, a in factor.amplitudes.items():
             for m, h, v in reached:
@@ -127,10 +143,8 @@ def _evolved_parties(build: SchemeBuild) -> tuple[list[PhotonicState],
                     break
             else:
                 kept.append((k, a))
-        factors.append(factor)
         terms.append(kept)
-        footprints.append(footprint)
-    return factors, terms, footprints
+    return terms
 
 
 def detection_ready_state(build: SchemeBuild) -> PhotonicState:
@@ -145,12 +159,12 @@ def detection_ready_state(build: SchemeBuild) -> PhotonicState:
     in every station, so that test runs once per pair of groups.
     """
     _check_photons(party.amplitudes for party in build.parties)
-    _, terms, footprints = _evolved_parties(build)
+    terms = _evolved_parties(build, cones := _light_cones(build))
     stations = _slots(build.spec.detector_stations)
     station_modes = sum(mask for mask, _, _ in stations)
     grown, opened = {0: {0: 1 + 0j}}, stations  # before party 0 every station is open
     for j, own in enumerate(terms):
-        later = reduce(or_, footprints[j + 1:], 0)
+        later = reduce(or_, cones[j + 1:], 0)
         checks = [(m, (0, h, v) if m & later else (h, v)) for m, h, v in opened]
         opened = [s for s in opened if s[0] & later]
         open_modes = sum(mask for mask, _, _ in opened)
@@ -273,21 +287,21 @@ def _contraction(build: SchemeBuild) -> list[tuple]:
     :func:`heraldnet.fock.product` does, this raises ``ValueError`` past
     ``MAX_OCCUPATION`` photons in all."""
     _check_photons(party.amplitudes for party in build.parties)
-    _, terms, footprints = _evolved_parties(build)
+    terms = _evolved_parties(build, cones := _light_cones(build))
     stations, pairs = _slots(build.spec.detector_stations), _slots(build.spec.retained_pairs)
     station_modes = sum(mask for mask, _, _ in stations)
     steps = []
-    for j, (own, footprint) in enumerate(zip(terms, footprints)):
-        earlier, later = reduce(or_, footprints[:j], 0), reduce(or_, footprints[j + 1:], 0)
+    for j, (own, cone) in enumerate(zip(terms, cones)):
+        earlier, later = reduce(or_, cones[:j], 0), reduce(or_, cones[j + 1:], 0)
         # A station or pair closes here if no later party reaches it, and this one does.
-        closing, closed = ([s for s in slots if not s[0] & later and (s[0] & footprint or not j)]
+        closing, closed = ([s for s in slots if not s[0] & later and (s[0] & cone or not j)]
                            for slots in (stations, pairs))
-        lone = [p for p in closed if p[0] & footprint and not p[0] & earlier]
+        lone = [p for p in closed if p[0] & cone and not p[0] & earlier]
         steps.append((own,
-                      footprint & ~(earlier | later | station_modes),
+                      cone & ~(earlier | later | station_modes),
                       sum(mask for mask, _, _ in closing),
                       {sum(keys) for keys in itertools.product(*((h, v) for _, h, v in closing))},
-                      footprint & earlier & ~later & ~station_modes,
+                      cone & earlier & ~later & ~station_modes,
                       lone, [p for p in closed if p not in lone]))
     return steps
 

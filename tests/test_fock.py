@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
@@ -252,6 +253,20 @@ def test_cancellation_inside_apply_leaves_no_key(registry, scale):
                                  bv.index: ((x.index, -s), (y.index, c))})
     out = apply(mixer, state_from_creation_product(registry, [bh, bv], amplitude=scale))
     assert sorted(out.amplitudes) == sorted([pack({x.index: 2}), pack({y.index: 2})])
+
+
+@pytest.mark.parametrize("eps", [3e-13, 1e-13, 1e-14])
+def test_near_balanced_splitter_keeps_its_small_amplitude(registry, eps):
+    # t^2 = 1/2 + eps: the b2_H c1_H amplitude r^2 - t^2 is about -2 eps, a
+    # true amplitude, far above the rounding of its two parts of about 1/2
+    x, y = registry.get("b2", "H"), registry.get("c1", "H")
+    t, r = math.sqrt(0.5 + eps), math.sqrt(0.5 - eps)
+    splitter = LinearMap(registry, {x.index: ((x.index, t), (y.index, r)),
+                                    y.index: ((x.index, r), (y.index, -t))})
+    out = apply(splitter, state_from_creation_product(registry, [x, y]))
+    amplitude = out.amplitudes.get(pack({x.index: 1, y.index: 1}), 0j)
+    assert abs(amplitude - float(Fraction(r) ** 2 - Fraction(t) ** 2)) <= 2**-53
+    assert math.isclose(amplitude.real, -2 * eps, rel_tol=0.05)
 
 
 def test_product_on_a_shared_mode_raises_its_occupation(registry):

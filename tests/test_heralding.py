@@ -12,7 +12,7 @@ from conftest import (explicit_evolution, heralded_part, ket_metrics, reference_
                       without_c1_plate)
 from heraldnet import fock, heralding, schemes
 from heraldnet.analytic import closed_p_hr, closed_p_suc, exact_h_eff, exact_p_hr
-from heraldnet.fock import norm_squared, occupations, photons, with_photons
+from heraldnet.fock import MAX_OCCUPATION, norm_squared, occupations, pack, photons, with_photons
 from heraldnet.heralding import (
     ORACLE_MAX_PARTIES,
     Metrics,
@@ -31,15 +31,30 @@ from heraldnet.optics import LinearMap, apply, compose_maps, half_wave_plate, me
 from heraldnet.schemes import SCHEMES, SchemeBuild, build_bc, build_sc, build_scheme, build_sd
 
 
-def coupled_parties(build):
+def coupled_parties(build, times=1):
     """``build`` (``bc`` or ``sc``) with a splitter between c1_H and c2_H
-    ahead of its loss stage: it puts both parties' photons in both modes,
-    so their factors share modes, environment modes included."""
+    ahead of its loss stage, ``times`` times over.  Once, it puts both
+    parties' photons in both modes, so their factors share modes,
+    environment modes included.  Twice, it is the identity, since the
+    splitter is an involution: the cross amplitudes cancel, and the
+    parties' light cones reach modes their evolved factors do not."""
     registry = build.spec.registry
     c1, c2 = (registry.get(f"c{i}", "H").index for i in (1, 2))
     r = 1 / math.sqrt(2)
     mix = LinearMap(registry, {c1: ((c1, r), (c2, r)), c2: ((c1, r), (c2, -r))})
-    return build._replace(stages=(*build.stages[:-2], mix, *build.stages[-2:]))
+    return build._replace(stages=(*build.stages[:-2], *(mix,) * times, *build.stages[-2:]))
+
+
+def evolved_factors(build):
+    """Each party through every stage on its own, as the engine evolves it."""
+    return [reduce(lambda state, stage: apply(stage, state), build.stages, party)
+            for party in build.parties]
+
+
+def footprint(factor):
+    """The packed mask of every mode that a term of ``factor`` occupies."""
+    return pack(dict.fromkeys({i for key in factor.amplitudes for i, _ in occupations(key)},
+                              MAX_OCCUPATION))
 
 
 class TestPatternEnumeration:
@@ -145,8 +160,7 @@ class TestDetectionPipeline:
         # the state is their product, so the factors carry the property
         build = build_sd(2, 0.9)
         rotation = merge_maps([half_wave_plate(s) for s in build.spec.detector_stations])
-        for factor in build.parties:
-            state = reduce(lambda state, stage: apply(stage, state), build.stages, factor)
+        for state in evolved_factors(build):
             twice = apply(rotation, apply(rotation, state))
             assert twice.amplitudes.keys() == state.amplitudes.keys()
             for key, amp in state.amplitudes.items():
@@ -155,9 +169,9 @@ class TestDetectionPipeline:
     @staticmethod
     def _trace(monkeypatch, build):
         """The (stage, state, output) of each ``apply`` call the evolution
-        makes, the evolved factors with the heralding terms the reference
-        multiplies, the size of its product of each proper prefix of the
-        parties, and the ready state."""
+        makes, the evolved factors (each party's last output) with the
+        heralding terms the reference multiplies, the size of its product
+        of each proper prefix of the parties, and the ready state."""
         calls, seen = [], {}
         evolve = heralding._evolved_parties
 
@@ -165,20 +179,22 @@ class TestDetectionPipeline:
             calls.append((stage, state, apply(stage, state)))
             return calls[-1][2]
 
-        def traced(build):
-            seen.update(zip(("factors", "terms", "footprints"), evolve(build)))
-            return seen["factors"], seen["terms"], seen["footprints"]
+        def traced(build, cones):
+            seen["terms"] = evolve(build, cones)
+            return seen["terms"]
 
         monkeypatch.setattr(heralding, "apply", record)
         monkeypatch.setattr(heralding, "_evolved_parties", traced)
         ready = detection_ready_state(build)
-        # the first j parties' terms with every party's footprint: the
+        size = len(build.stages)
+        seen["factors"] = [out for *_, out in calls[size - 1::size]]
+        # the first j parties' terms with every party's light cone: the
         # stations a later party feeds stay open, so the reference returns
         # its partial product after party j
         seen["sizes"] = []
         for j in range(1, len(build.parties)):
-            monkeypatch.setattr(heralding, "_evolved_parties", lambda build, j=j: (
-                seen["factors"][:j], seen["terms"][:j], seen["footprints"]))
+            monkeypatch.setattr(heralding, "_evolved_parties",
+                                lambda build, cones, j=j: seen["terms"][:j])
             seen["sizes"].append(len(detection_ready_state(build)))
         return calls, seen, ready
 
@@ -196,7 +212,7 @@ class TestDetectionPipeline:
         for j, party in enumerate(build.parties):
             steps = calls[j * len(stages):(j + 1) * len(stages)]
             assert [state for _, state, _ in steps] == [party] + [out for *_, out in steps[:-1]]
-            assert seen["factors"][j] is steps[-1][2]
+            assert set(seen["terms"][j]) <= steps[-1][2].amplitudes.items()
         self._assert_heralded_part(build, ready, explicit_evolution(build), bitwise=False)
 
     def test_ring_product_counts(self, monkeypatch):
@@ -223,7 +239,9 @@ class TestDetectionPipeline:
         # keys 50 parties wide, which the 15-photon guard keeps from
         # compute_metrics: each factor holds its N=4 terms and heralding
         # terms, with norm 1
-        factors, terms, _ = heralding._evolved_parties(build_scheme(scheme, 50, 0.9))
+        build = build_scheme(scheme, 50, 0.9)
+        factors = evolved_factors(build)
+        terms = heralding._evolved_parties(build, heralding._light_cones(build))
         assert [len(f) for f in factors] == [size] * 50
         assert [len(t) for t in terms] == [heralding_size] * 50
         for factor in factors:
@@ -329,8 +347,47 @@ class TestRingContraction:
         relabelled = sd._replace(spec=sd.spec._replace(detection_basis="HV"))
         for build in (without_c1_plate(build_bc(n, eta)), without_c1_plate(build_sc(n, eta)),
                       TestBasisChange._canonical(sd), relabelled,
-                      coupled_parties(build_bc(n, eta)), coupled_parties(build_sc(n, eta))):
+                      coupled_parties(build_bc(n, eta)), coupled_parties(build_sc(n, eta)),
+                      coupled_parties(build_bc(n, eta), 2), coupled_parties(build_sc(n, eta), 2)):
             self._assert_matches_ket(build)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("n", range(2, ORACLE_MAX_PARTIES + 1))
+    @pytest.mark.parametrize("eta", [1.0, 0.9, 0.3, 0.0])
+    def test_light_cones_are_the_evolved_footprints(self, scheme, n, eta):
+        # no amplitude of a shipped scheme cancels a mode away, so the cones
+        # read off the circuit are exactly the modes the evolved terms occupy
+        build = build_scheme(scheme, n, eta)
+        assert heralding._light_cones(build) == [footprint(f) for f in evolved_factors(build)]
+
+    @pytest.mark.parametrize("builder", [build_bc, build_sc])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("eta", [1.0, 0.9, 0.3])
+    def test_light_cones_keep_what_cancels(self, builder, n, eta):
+        # the doubled splitter's cross amplitudes cancel, so the cones of
+        # parties 1 and 2, which feed it, reach modes their terms do not,
+        # such as the other channel's environment mode; at N=2 without loss
+        # there is none, and each party reaches both stations anyway; the
+        # plan closes such units later, and still agrees with the ket above
+        build = coupled_parties(builder(n, eta), 2)
+        cones = heralding._light_cones(build)
+        footprints = [footprint(f) for f in evolved_factors(build)]
+        assert all(cone & mask == mask for cone, mask in zip(cones, footprints))
+        strict = [j for j, (cone, mask) in enumerate(zip(cones, footprints)) if cone != mask]
+        assert strict == ([] if (n, eta) == (2, 1.0) else [0, 1])
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("n", [2, 7, 50])
+    def test_light_cones_bound_each_mode_at_four_photons(self, scheme, n):
+        # a mode holds at most the photons of the parties whose cones reach
+        # it: 4 for every scheme and N, where a key holds 15 per mode and
+        # N=8 already has 16 photons in all
+        build = build_scheme(scheme, n, 0.9)
+        counts = [max(map(photons, party.amplitudes)) for party in build.parties]
+        cones = heralding._light_cones(build)
+        bounds = [sum(c for c, cone in zip(counts, cones) if cone >> fock.BITS * i & MAX_OCCUPATION)
+                  for i in range(len(build.spec.registry))]
+        assert max(bounds) <= 4
 
     @pytest.mark.parametrize("eta", [1.0, 0.9, 0.3])
     def test_private_modes_are_traced_with_their_weight(self, eta):
@@ -425,6 +482,7 @@ class TestPatternOutcomes:
         # histogram counts where they settle
         sd = build_sd(n, eta)
         for build in (coupled_parties(build_bc(n, eta)), coupled_parties(build_sc(n, eta)),
+                      coupled_parties(build_bc(n, eta), 2), coupled_parties(build_sc(n, eta), 2),
                       TestBasisChange._canonical(sd), without_c1_plate(build_bc(n, eta)),
                       without_c1_plate(build_sc(n, eta))):
             self._assert_matches_reference(build)
