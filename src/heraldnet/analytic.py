@@ -25,7 +25,6 @@ QUOTED_CHORD_REFERENCE_KM = 15.71  # widely quoted figure, kept for comparison
 # is rounding noise, up to the equivalent of 1e5 km at the default attenuation.
 BRACKET_START_ALPHA_R = 0.01
 BRACKET_LIMIT_ALPHA_R = 2300.0
-DEFAULT_ROOT_TOL_KM = 1e-6
 
 
 class RootBracketError(ArithmeticError):
@@ -156,59 +155,51 @@ def crossover_margin(radius_km: float, n: int, alpha: float) -> float:
     means sd is ahead, g > 0 means sc is ahead.  Saturates to +inf where
     the growing exponential overflows.
     """
+    x = alpha * radius_km
     try:
-        growth = math.exp(4.0 * alpha * radius_km * math.sin(math.pi / n))
+        growth = math.exp(4.0 * x * math.sin(math.pi / n))
     except OverflowError:
         return math.inf
-    return math.exp(-2.0 * alpha * radius_km) + growth - 2.0
+    return math.exp(-2.0 * x) + growth - 2.0
 
 
-def crossover_radius(
-    n: int, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_ROOT_TOL_KM
-) -> float:
+def crossover_radius(n: int, alpha: float = DEFAULT_ALPHA) -> float:
     """Radius where the sc and sd heralding efficiencies cross, in km.
 
-    Zero when 2 sin(pi/N) >= 1 (N <= 6): the margin is then non-negative
+    Zero for N <= 6, where 2 sin(pi/N) >= 1: the margin is then non-negative
     for every radius, so the curves only touch at R = 0.  Otherwise the
-    unique positive root is bracketed by doubling from 1 km (or from
-    alpha*R = ``BRACKET_START_ALPHA_R``, if that is farther) and bisected
-    to within ``tol``, or until the bracket is two adjacent floats.  Raises
-    :class:`RootBracketError` if no sign change is found, or if alpha is so
-    small that the bracket would pass the largest float.
+    unique positive root in x = alpha*R is bracketed by doubling from
+    ``BRACKET_START_ALPHA_R`` and bisected until the bracket is two adjacent
+    floats.  Raises :class:`RootBracketError` if no sign change is found
+    below ``BRACKET_LIMIT_ALPHA_R``, or if x / alpha is not a finite float.
     """
     if n < 2:
         raise ValueError("need at least two parties")
     _check_finite("attenuation", alpha)
-    _check_finite("tolerance", tol)
     if alpha <= 0:
         raise ValueError("attenuation must be positive")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    # 1e-12 slack covers roundoff in sin(pi/6) = 0.5 exactly at N = 6
-    if 2.0 * math.sin(math.pi / n) >= 1.0 - 1e-12:
+    if n <= 6:
         return 0.0
-
-    lo, hi = 0.0, max(1.0, BRACKET_START_ALPHA_R / alpha)
-    while math.isfinite(hi) and crossover_margin(hi, n, alpha) < 0.0:
+    lo, hi = 0.0, BRACKET_START_ALPHA_R
+    while crossover_margin(hi, n, 1.0) < 0.0:
         lo, hi = hi, 2.0 * hi
-        if math.isfinite(hi) and alpha * hi > BRACKET_LIMIT_ALPHA_R:
+        # where the limit is past the float range in km, so is any root beyond it: the end says so
+        if hi > BRACKET_LIMIT_ALPHA_R and math.isfinite(BRACKET_LIMIT_ALPHA_R / alpha):
             raise RootBracketError(
                 "no sign change of the crossover margin below "
                 f"{BRACKET_LIMIT_ALPHA_R / alpha} km"
             )
-    if not math.isfinite(hi):
-        raise RootBracketError(
-            f"attenuation {alpha} per km puts the crossover beyond the float range"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if crossover_margin(mid, n, alpha) < 0.0:
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if crossover_margin(mid, n, 1.0) < 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    radius = mid / alpha
+    if not math.isfinite(radius):
+        raise RootBracketError(
+            f"attenuation {alpha} per km puts the crossover beyond the float range"
+        )
+    return radius
 
 
 class ChordAsymptote(NamedTuple):
@@ -233,7 +224,7 @@ def asymptotic_chord(alpha: float = DEFAULT_ALPHA, reference_n: int = 500) -> Ch
     _check_finite("attenuation", alpha)
     if alpha <= 0:
         raise ValueError("attenuation must be positive")
-    radius = crossover_radius(reference_n, alpha, tol=1e-9)
+    radius = crossover_radius(reference_n, alpha)
     return ChordAsymptote(
         alpha=alpha,
         analytic_limit_km=math.log(2.0) / (2.0 * alpha),

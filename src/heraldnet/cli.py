@@ -23,8 +23,7 @@ import os
 import sys
 from typing import Sequence, TextIO
 
-from .analytic import (DEFAULT_ROOT_TOL_KM, asymptotic_chord, closed_h_eff, closed_p_hr,
-                       closed_p_suc, lhv_threshold)
+from .analytic import asymptotic_chord, closed_h_eff, closed_p_hr, closed_p_suc, lhv_threshold
 from .experiments import (
     DEFAULT_VERIFY_ETAS,
     DEFAULT_VERIFY_PARTIES,
@@ -152,8 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cross = sub.add_parser("crossover", help="crossing radius and chord per party count")
     p_cross.add_argument("--parties", default="2..30", help="party range MIN..MAX")
     _add_alpha(p_cross)
-    p_cross.add_argument("--tol", type=float, default=DEFAULT_ROOT_TOL_KM,
-                         help="root-finding tolerance in km for crossover radii")
     _add_common(p_cross, ("text", "csv", "json"))
 
     p_verify = sub.add_parser("verify", help="closed forms against brute-force simulation")
@@ -294,7 +291,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_crossover(args: argparse.Namespace) -> int:
     parties = parse_parties(args.parties)
-    points = crossover_curve(min(parties), max(parties), args.alpha, tol=args.tol)
+    points = crossover_curve(min(parties), max(parties), args.alpha)
     # The rows stand on their own: an asymptote out of range is reported after them.
     try:
         asym, failure = asymptotic_chord(args.alpha), None

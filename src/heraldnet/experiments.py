@@ -13,7 +13,6 @@ import math
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .analytic import (
-    DEFAULT_ROOT_TOL_KM,
     chord_length,
     closed_h_eff,
     closed_p_hr,
@@ -138,14 +137,12 @@ class CrossoverPoint(NamedTuple):
     chord_km: float
 
 
-def crossover_curve(
-    n_min: int, n_max: int, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_ROOT_TOL_KM
-) -> list[CrossoverPoint]:
+def crossover_curve(n_min: int, n_max: int, alpha: float = DEFAULT_ALPHA) -> list[CrossoverPoint]:
     if not 2 <= n_min <= n_max:
         raise ValueError("need 2 <= n_min <= n_max")
     points = []
     for n in range(n_min, n_max + 1):
-        radius = crossover_radius(n, alpha, tol)
+        radius = crossover_radius(n, alpha)
         points.append(CrossoverPoint(n, radius, chord_length(radius, n)))
     return points
 

@@ -181,8 +181,7 @@ def superpose(pairs: Iterable[tuple[complex, PhotonicState]]) -> PhotonicState:
     for coeff, state in pairs:
         if state.registry is not registry:
             raise RegistryError("cannot superpose states from different registries")
-        for key, a in state.amplitudes.items():
-            out[key] = cancel_add(out.get(key, 0j), coeff * a)
+        join({0: coeff}, state.amplitudes, out)
     return PhotonicState(registry, out)
 
 
@@ -225,11 +224,12 @@ def _check_photons(factors: Iterable[Iterable[int]], added: int = 0) -> None:
         raise ValueError(f"a monomial holds at most {MAX_OCCUPATION} photons")
 
 
-def join(state: dict[int, complex], local: dict[int, complex]) -> dict[int, complex]:
-    """Every sum of a key of ``state`` and a key of ``local``, with the
-    product of their values; like keys merge through :func:`cancel_add`.
+def join(state: dict[int, complex], local: dict[int, complex],
+         out: dict[int, complex] | None = None) -> dict[int, complex]:
+    """Every sum of a key of ``state`` and a key of ``local``, with the product of their
+    values, merged into ``out`` (a new dict by default) through :func:`cancel_add`.
     The caller keeps the total photon count within ``MAX_OCCUPATION``."""
-    out: dict[int, complex] = {}
+    out = {} if out is None else out
     get = out.get
     for key, v in state.items():
         for step, u in local.items():

@@ -136,14 +136,8 @@ def _evolved_parties(build: SchemeBuild, cones: list[int]) -> list[list[tuple[in
     for party, cone in zip(build.parties, cones):
         factor = reduce(lambda state, stage: apply(stage, state), build.stages, party)
         reached = [s for s in stations if cone & s[0]]
-        kept = []
-        for k, a in factor.amplitudes.items():
-            for m, h, v in reached:
-                if (part := k & m) and part not in (h, v):
-                    break
-            else:
-                kept.append((k, a))
-        terms.append(kept)
+        reach, table = sum(mask for mask, _, _ in reached), _herald_keys(reached, vacant=True)
+        terms.append([(k, a) for k, a in factor.amplitudes.items() if k & reach in table])
     return terms
 
 
@@ -168,19 +162,15 @@ def detection_ready_state(build: SchemeBuild) -> PhotonicState:
         checks = [(m, (0, h, v) if m & later else (h, v)) for m, h, v in opened]
         opened = [s for s in opened if s[0] & later]
         open_modes = sum(mask for mask, _, _ in opened)
-        groups: dict[int, list[tuple[int, complex]]] = {}
+        groups: dict[int, dict[int, complex]] = {}
         for key, b in own:
-            groups.setdefault(key & station_modes, []).append((key, b))
+            groups.setdefault(key & station_modes, {})[key] = b
         partials, grown = {t: {k: a for k, a in out.items() if a} for t, out in grown.items()}, {}
         for p in list(partials):
             olds = partials.pop(p)  # freed once used, which keeps the peak low
             for g, news in groups.items():
                 if all((p + g) & m in ok for m, ok in checks):
-                    out = grown.setdefault((p + g) & open_modes, {})
-                    for new, b in news:
-                        for old, a in olds.items():
-                            cur = out.get(key := old + new)
-                            out[key] = a * b if cur is None else cancel_add(cur, a * b)
+                    join(news, olds, grown.setdefault((p + g) & open_modes, {}))
     return PhotonicState(build.spec.registry, reduce(or_, grown.values(), {}))
 
 
@@ -276,6 +266,13 @@ def _slots(pairs: tuple[tuple[Mode, Mode], ...]) -> list[tuple[int, int, int]]:
             for h, v in ((1 << BITS * h.index, 1 << BITS * v.index) for h, v in pairs)]
 
 
+def _herald_keys(stations: list[tuple[int, int, int]], vacant: bool = False) -> set[int]:
+    """Every key that puts one photon in each of the ``stations`` (slots as
+    :func:`_slots` gives them), or, if ``vacant``, one or none in each."""
+    return {sum(keys) for keys in itertools.product(*((0, h, v) if vacant else (h, v)
+                                                      for _, h, v in stations))}
+
+
 def _contraction(build: SchemeBuild) -> list[tuple]:
     """The closing plan both sweeps read, one step per party: its heralding
     terms; its private modes, which no other party and no station reaches;
@@ -299,8 +296,7 @@ def _contraction(build: SchemeBuild) -> list[tuple]:
         lone = [p for p in closed if p[0] & cone and not p[0] & earlier]
         steps.append((own,
                       cone & ~(earlier | later | station_modes),
-                      sum(mask for mask, _, _ in closing),
-                      {sum(keys) for keys in itertools.product(*((h, v) for _, h, v in closing))},
+                      sum(mask for mask, _, _ in closing), _herald_keys(closing),
                       cone & earlier & ~later & ~station_modes,
                       lone, [p for p in closed if p not in lone]))
     return steps

@@ -43,7 +43,10 @@ from .fock import (
     pack,
 )
 
-ISOMETRY_TOL = 1e-12
+# An isometry's Gram entry of k products is off by at most gamma_(k+4) = (k+4)u / (1 - (k+4)u)
+# times the sum of their magnitudes (Higham 2002, sec. 3.1): rounding each coefficient once adds
+# gamma_2, the complex product sqrt(2) gamma_2 < gamma_3 (lemma 3.5), the k-1 additions gamma_(k-1).
+UNIT_ROUNDOFF = 2.0 ** -53
 
 Column = tuple[tuple[int, complex], ...]
 
@@ -271,20 +274,21 @@ def apply(transform: LinearMap, state: PhotonicState) -> PhotonicState:
 
 
 def is_isometry(transform: LinearMap) -> bool:
-    """True iff the Gram matrix of the map's columns is the identity, to
-    within ``ISOMETRY_TOL`` per entry."""
+    """True iff the Gram matrix of the map's columns is the identity, each
+    entry of k products to within gamma_(k+4) times their magnitudes' sum."""
     items = sorted(transform.columns.items())
     vecs = [dict(col) for _, col in items]
     for i, vi in enumerate(vecs):
-        for j in range(i, len(vecs)):
-            vj = vecs[j]
-            acc = 0j
+        for j, vj in enumerate(vecs[i:], i):
+            acc, scale, k = 0j, 0.0, 0
             for idx, c in vi.items():
                 other = vj.get(idx)
                 if other is not None:
                     acc += c.conjugate() * other
+                    scale += abs(c) * abs(other)
+                    k += 1
             want = 1.0 if i == j else 0.0
-            if abs(acc - want) > ISOMETRY_TOL:
+            if abs(acc - want) > (k + 4) * UNIT_ROUNDOFF / (1 - (k + 4) * UNIT_ROUNDOFF) * scale:
                 return False
     return True
 

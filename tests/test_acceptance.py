@@ -313,7 +313,7 @@ class TestCriterion5:
     def test_crossover_radius_curve(self, record_acceptance):
         checks = []
 
-        radii = {n: crossover_radius(n, tol=1e-9) for n in range(2, 31)}
+        radii = {n: crossover_radius(n) for n in (*range(2, 31), 500)}
         small = all(radii[n] == 0.0 for n in range(2, 7))
         checks.append(("zero radius through six parties", small, str({n: radii[n] for n in range(2, 7)})))
         positive = all(radii[n] > 0.0 for n in range(7, 31))
@@ -325,8 +325,8 @@ class TestCriterion5:
         checks.append(
             ("seven-party radius 3.30 +- 0.05 km", abs(r7 - 3.30) <= 0.05, f"got {r7:.6f}")
         )
-        residual = abs(crossover_margin(r7, 7, ALPHA))
-        checks.append(("root residual below 1e-9", residual < 1e-9, f"residual {residual:.2e}"))
+        residual = max(abs(crossover_margin(radii[n], n, ALPHA)) for n in (7, 8, 13, 30, 500))
+        checks.append(("root residual below 1e-14", residual <= 1e-14, f"residual {residual:.2e}"))
 
         # the efficiency ordering must flip when crossing the root
         r8 = radii[8]

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heraldnet.analytic import (
-    DEFAULT_ROOT_TOL_KM,
     QUOTED_CHORD_REFERENCE_KM,
     ChordAsymptote,
     RootBracketError,
@@ -123,8 +122,6 @@ class TestValidation:
             lambda: crossover_radius(7, alpha=0.0),
             lambda: crossover_radius(7, alpha=math.nan),
             lambda: crossover_radius(7, alpha=math.inf),
-            lambda: crossover_radius(7, tol=math.nan),
-            lambda: crossover_radius(7, tol=math.inf),
             lambda: asymptotic_chord(math.nan),
             lambda: asymptotic_chord(math.inf),
         ],
@@ -247,37 +244,40 @@ class TestCrossoverRadius:
         assert crossover_radius(n) == 0.0
 
     def test_seven_party_crossover(self):
-        assert crossover_radius(7, tol=1e-9) == pytest.approx(3.3071233372, abs=1e-8)
+        assert crossover_radius(7) == pytest.approx(3.3071233372, abs=1e-8)
 
     def test_eight_and_nine_party_crossovers(self):
-        assert crossover_radius(8, tol=1e-9) == pytest.approx(6.6250781837, abs=1e-8)
-        assert crossover_radius(9, tol=1e-9) == pytest.approx(9.9229785352, abs=1e-8)
+        assert crossover_radius(8) == pytest.approx(6.6250781837, abs=1e-8)
+        assert crossover_radius(9) == pytest.approx(9.9229785352, abs=1e-8)
 
     def test_crossover_radius_increases_with_parties(self):
         radii = [crossover_radius(n) for n in range(7, 41)]
         assert all(a < b for a, b in zip(radii, radii[1:]))
 
-    def test_root_residual_is_small(self):
-        root = crossover_radius(11, tol=1e-9)
-        assert abs(crossover_margin(root, 11, ALPHA)) < 1e-9
+    @pytest.mark.parametrize("n", [7, 8, 11, 13, 30, 500])
+    def test_root_residual_is_small(self, n):
+        # bisected to adjacent floats, the margin at the root is rounding noise
+        root = crossover_radius(n)
+        assert abs(crossover_margin(root, n, ALPHA)) <= 1e-14
 
-    def test_tolerance_below_float_spacing_terminates(self):
-        # the bracket cannot shrink below adjacent floats; bisection must stop there
-        assert crossover_radius(7, tol=1e-300) == pytest.approx(
-            crossover_radius(7, tol=1e-12), abs=1e-9
-        )
+    @pytest.mark.parametrize("n", [7, 8, 500])
+    def test_bisection_ends_at_adjacent_floats(self, n):
+        # the root is one end of a bracket of two adjacent floats in alpha*R,
+        # across which the margin changes sign
+        x = crossover_radius(n, 1.0)
+        if crossover_margin(x, n, 1.0) < 0.0:
+            assert crossover_margin(math.nextafter(x, math.inf), n, 1.0) >= 0.0
+        else:
+            assert crossover_margin(math.nextafter(x, 0.0), n, 1.0) < 0.0
 
-    @pytest.mark.parametrize("alpha", [1e-17, 1e-300, 1e3, 1e300])
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-17, 1e-3, ALPHA, 1e3, 1e300, 1e308])
     def test_radius_scales_inversely_with_attenuation(self, alpha):
-        # the margin depends on alpha*R alone; far from the default alpha the
-        # bracket must start and stop in alpha*R, not in km
-        reference = ALPHA * crossover_radius(7, tol=1e-12)
-        assert alpha * crossover_radius(7, alpha, tol=5e-324) == pytest.approx(
-            reference, rel=1e-9
-        )
-
-    def test_default_tolerance_constant(self):
-        assert DEFAULT_ROOT_TOL_KM == 1e-6
+        # the margin depends on alpha*R alone and the root is bisected in
+        # alpha*R, so alpha*R is the alpha = 1 root to the last digits; at
+        # alpha = 1e308 the radius is subnormal and keeps fewer of them
+        rel = 1e-14 if alpha == 1e308 else 4 * 2.0**-53
+        reference = crossover_radius(7, 1.0)
+        assert alpha * crossover_radius(7, alpha) == pytest.approx(reference, rel=rel, abs=0.0)
 
 
 class TestChordAsymptote:

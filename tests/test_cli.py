@@ -295,7 +295,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--radius", "3", "--parties", "2", "--scheme", "bc", "--format", "json"],
         ["sweep", "--scheme", "sd", "--parties", "3", "--radius-grid", "0:4:2", "--alpha", "0.05"],
-        ["crossover", "--parties", "6..8", "--tol", "1e-3", "--format", "csv"],
+        ["crossover", "--parties", "6..8", "--format", "csv"],
         ["verify", "--scheme", "sc", "--parties", "2", "--eta", "0.5", "--sc-phr-uncorrected"],
     ])
     def test_dump_config_round_trips(self, capsys, tmp_path, argv):
@@ -348,11 +348,15 @@ class TestConfigFile:
         assert error_exit(capsys, ["sweep", "--config", path]) == (
             1, f"error: config {path} must hold a JSON object\n")
 
-    def test_unknown_keys_are_refused(self, capsys, tmp_path):
-        # verify has no --format, and "color" is no option at all
-        path = self.config(tmp_path, '{"format": "csv", "color": 1, "command": "sweep"}')
-        assert error_exit(capsys, ["verify", "--config", path]) == (
-            1, f"error: config {path} has unknown keys: ['color', 'format']\n")
+    # verify has no --format, "color" is no option at all, and crossover has no --tol
+    @pytest.mark.parametrize(("command", "text", "unknown"), [
+        ("verify", '{"format": "csv", "color": 1, "command": "sweep"}', "['color', 'format']"),
+        ("crossover", '{"tol": 1e-3}', "['tol']"),
+    ])
+    def test_unknown_keys_are_refused(self, capsys, tmp_path, command, text, unknown):
+        path = self.config(tmp_path, text)
+        assert error_exit(capsys, [command, "--config", path]) == (
+            1, f"error: config {path} has unknown keys: {unknown}\n")
 
 
 class TestCrossover:
@@ -373,14 +377,15 @@ class TestCrossover:
         assert n7[0] == "7"
         assert float(n7[1]) == pytest.approx(3.3071233372, abs=1e-5)
 
-    def test_tight_tolerance_sharpens_root(self, capsys):
-        code, out, _ = run(
-            capsys,
-            ["crossover", "--parties", "7", "--format", "csv", "--tol", "1e-9"],
-        )
+    @pytest.mark.parametrize(("alpha", "rows"), [
+        ([], ["7,3.30712333722,2.86981407855", "8,6.62507818371,5.07061531806"]),
+        (["--alpha", "1e300"], ["7,7.6063836756e-302,6.60057238067e-302",
+                                "8,1.52376798225e-301,1.16624152315e-301"]),
+    ])
+    def test_roots_are_exact_to_every_printed_digit(self, capsys, alpha, rows):
+        code, out, _ = run(capsys, ["crossover", "--parties", "7..8", "--format", "csv", *alpha])
         assert code == 0
-        value = float(out.splitlines()[1].split(",")[1])
-        assert value == pytest.approx(3.3071233372, abs=1e-8)
+        assert out.splitlines() == ["N,R_c_km,l_c_km", *rows]
 
 
 class TestExtremeAttenuation:
@@ -400,8 +405,10 @@ class TestExtremeAttenuation:
         radius = float(out.splitlines()[1].split(",")[1])
         assert radius == pytest.approx(3.3071233372 * 0.023 / 1e-10, rel=1e-6)
 
-    def test_crossover_beyond_float_range_is_an_error(self, capsys):
-        code, out, err = run(capsys, ["crossover", "--parties", "7", "--alpha", "1e-320"])
+    # at N = 50000 no root lies below the bracket limit, which is itself past the float range
+    @pytest.mark.parametrize(("parties", "alpha"), [("7", "1e-320"), ("50000", "1e-310")])
+    def test_crossover_beyond_float_range_is_an_error(self, capsys, parties, alpha):
+        code, out, err = run(capsys, ["crossover", "--parties", parties, "--alpha", alpha])
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "float range" in err
@@ -466,6 +473,7 @@ class TestErrorExits:
             ["verify", "--tol", "1e-3"],
             ["simulate", "--eta", "0.9", "--tol", "1e-3"],
             ["sweep", "--tol", "1e-3"],
+            ["crossover", "--tol", "1e-3"],
             ["sweep", "--format", "text"],
         ],
     )
@@ -511,7 +519,6 @@ class TestNonFiniteInput:
         [
             ["crossover", "--parties", "7", "--alpha", "nan"],
             ["crossover", "--parties", "7", "--alpha", "inf"],
-            ["crossover", "--parties", "7..8", "--tol", "nan"],
             ["sweep", "--radius-grid", "0:inf:1"],
         ],
     )

@@ -1,6 +1,7 @@
 """Element conventions, isometry checks, and exact map application."""
 
 import cmath
+import itertools
 import math
 from collections import Counter
 
@@ -214,9 +215,11 @@ def test_collision_with_occupied_unmapped_output():
         apply(shift, occupied)
 
 
-def test_is_isometry_rejects_scaled_column():
+# a column's norm is off by 2e-13 at 1 + 1e-13, far beyond its rounding bound of 5.6e-16
+@pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-13])
+def test_is_isometry_rejects_scaled_column(scale):
     r, pairs, _ = make_registry()
-    bad = LinearMap(r, {pairs["a1"][0].index: ((pairs["b1"][0].index, 2.0),)})
+    bad = LinearMap(r, {pairs["a1"][0].index: ((pairs["b1"][0].index, scale),)})
     assert not is_isometry(bad)
 
 
@@ -349,3 +352,50 @@ def test_apply_matches_the_all_columns_reference(case):
     expected = _outcome(reference_apply, transform, state)
     assert _outcome(apply, transform, state) == expected
     assert _outcome(apply, transform, state) == expected
+
+
+@st.composite
+def isometries_and_photons(draw):
+    """A complex isometry from the first k of m <= 6 modes into all m, the Q
+    of a Gaussian matrix's QR, and up to 4 input photons by input mode."""
+    m = draw(st.integers(1, 6))
+    k = draw(st.integers(1, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k)))
+    return q, sorted(draw(st.lists(st.integers(0, k - 1), max_size=4)))
+
+
+def _near_balanced_splitter(eps):
+    """t^2 = 0.5 + eps: one photon in each input leaves one in each output
+    with amplitude r^2 - t^2 = -2 eps."""
+    t, r = math.sqrt(0.5 + eps), math.sqrt(0.5 - eps)
+    return np.array([[t, r], [r, -t]], dtype=complex), [0, 1]
+
+
+def permanent(matrix):
+    return sum(math.prod(matrix[i, j] for i, j in enumerate(cols))
+               for cols in itertools.permutations(range(len(matrix))))
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=isometries_and_photons())
+# losing the -2e-12 amplitude would miss it by twice the bound
+@example(case=_near_balanced_splitter(1e-12))
+def test_apply_matches_the_permanents(case):
+    # the image of a monomial holds prod_j a_dag(j)^m_j with coefficient
+    # perm(U[rows(m), cols(n)]) / prod_j m_j!, rows and columns repeated by occupation
+    u, photons = case
+    m, k = u.shape
+    registry = ModeRegistry()
+    modes = [registry.register(f"m{i}", "H", "internal") for i in range(m)]
+    transform = LinearMap(registry, {j: tuple((i, complex(u[i, j])) for i in range(m))
+                                     for j in range(k)})
+    out = apply(transform, state_from_creation_product(registry, [modes[j] for j in photons]))
+    expected = {}
+    for rows in itertools.combinations_with_replacement(range(m), len(photons)):
+        counts = Counter(rows)
+        expected[pack(counts)] = (permanent(u[np.ix_(rows, photons)])
+                                  / math.prod(map(math.factorial, counts.values())))
+    assert out.amplitudes.keys() <= expected.keys()
+    for key, want in expected.items():
+        assert abs(out.amplitudes.get(key, 0j) - want) <= 1e-12
