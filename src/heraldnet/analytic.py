@@ -221,10 +221,7 @@ class ChordAsymptote(NamedTuple):
 
 
 def asymptotic_chord(alpha: float = DEFAULT_ALPHA, reference_n: int = 500) -> ChordAsymptote:
-    _check_finite("attenuation", alpha)
-    if alpha <= 0:
-        raise ValueError("attenuation must be positive")
-    radius = crossover_radius(reference_n, alpha)
+    radius = crossover_radius(reference_n, alpha)  # checks alpha
     return ChordAsymptote(
         alpha=alpha,
         analytic_limit_km=math.log(2.0) / (2.0 * alpha),

@@ -58,6 +58,28 @@ def explicit_evolution(build):
     return state
 
 
+def reference_heralding_terms(build):
+    """Each party's heralding terms the straightforward way: the party
+    through every stage with :func:`heraldnet.optics.apply`, then the herald
+    filter, at most one photon in each station, in the evolved factor's
+    order."""
+    shifts = [(BITS * h.index, BITS * v.index) for h, v in build.spec.detector_stations]
+    terms = []
+    for state in build.parties:
+        for stage in build.stages:
+            state = apply(stage, state)
+        terms.append([(key, amp) for key, amp in state.amplitudes.items()
+                      if all(((key >> h) & MAX_OCCUPATION) + ((key >> v) & MAX_OCCUPATION) <= 1
+                             for h, v in shifts)])
+    return terms
+
+
+def to_the_bit(terms):
+    """Per-party ``(key, amplitude)`` terms with each amplitude as the
+    ``float.hex`` of its parts, so that equal lists are equal to the bit."""
+    return [[(key, amp.real.hex(), amp.imag.hex()) for key, amp in own] for own in terms]
+
+
 def reference_apply(transform, state):
     """The all-columns form of :func:`heraldnet.optics.apply`, the
     differential test's reference: it packs the masks and the step list over

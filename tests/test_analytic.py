@@ -111,23 +111,25 @@ class TestSpotValues:
 
 class TestValidation:
     @pytest.mark.parametrize(
-        "call",
+        "call, message",
         [
-            lambda: closed_p_suc("zz", 2, 0.9),
-            lambda: closed_p_suc("sc", 1, 0.9),
-            lambda: closed_p_suc("sc", 2, 1.5),
-            lambda: closed_p_suc("sc", 2, -0.1),
-            lambda: lhv_threshold(1),
-            lambda: crossover_radius(1),
-            lambda: crossover_radius(7, alpha=0.0),
-            lambda: crossover_radius(7, alpha=math.nan),
-            lambda: crossover_radius(7, alpha=math.inf),
-            lambda: asymptotic_chord(math.nan),
-            lambda: asymptotic_chord(math.inf),
+            (lambda: closed_p_suc("zz", 2, 0.9), "unknown scheme 'zz'"),
+            (lambda: closed_p_suc("sc", 1, 0.9), "need at least two parties"),
+            (lambda: closed_p_suc("sc", 2, 1.5), r"eta must lie in \[0, 1\], got 1.5"),
+            (lambda: closed_p_suc("sc", 2, -0.1), r"eta must lie in \[0, 1\], got -0.1"),
+            (lambda: lhv_threshold(1), "need at least two parties"),
+            (lambda: crossover_radius(1), "need at least two parties"),
+            (lambda: crossover_radius(7, alpha=0.0), "attenuation must be positive"),
+            (lambda: crossover_radius(7, alpha=math.nan), "attenuation must be finite, got nan"),
+            (lambda: crossover_radius(7, alpha=math.inf), "attenuation must be finite, got inf"),
+            (lambda: asymptotic_chord(math.nan), "attenuation must be finite, got nan"),
+            (lambda: asymptotic_chord(math.inf), "attenuation must be finite, got inf"),
+            (lambda: asymptotic_chord(0.0), "attenuation must be positive"),
+            (lambda: asymptotic_chord(-1.0), "attenuation must be positive"),
         ],
     )
-    def test_rejects_bad_arguments(self, call):
-        with pytest.raises(ValueError):
+    def test_rejects_bad_arguments(self, call, message):
+        with pytest.raises(ValueError, match=message):
             call()
 
     @pytest.mark.parametrize("fn", [closed_h_eff, exact_h_eff])

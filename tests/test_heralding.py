@@ -8,11 +8,12 @@ from functools import reduce
 
 import pytest
 
-from conftest import (explicit_evolution, heralded_part, ket_metrics, reference_outcomes,
-                      without_c1_plate)
+from conftest import (explicit_evolution, heralded_part, ket_metrics, reference_heralding_terms,
+                      reference_outcomes, to_the_bit, without_c1_plate)
 from heraldnet import fock, heralding, schemes
 from heraldnet.analytic import closed_p_hr, closed_p_suc, exact_h_eff, exact_p_hr
-from heraldnet.fock import MAX_OCCUPATION, norm_squared, occupations, pack, photons, with_photons
+from heraldnet.fock import (MAX_OCCUPATION, ModeCollisionError, norm_squared, occupations, pack,
+                            photons, state_from_creation_product, superpose, with_photons)
 from heraldnet.heralding import (
     ORACLE_MAX_PARTIES,
     Metrics,
@@ -43,6 +44,52 @@ def coupled_parties(build, times=1):
     r = 1 / math.sqrt(2)
     mix = LinearMap(registry, {c1: ((c1, r), (c2, r)), c2: ((c1, r), (c2, -r))})
     return build._replace(stages=(*build.stages[:-2], *(mix,) * times, *build.stages[-2:]))
+
+
+def phased_party(build, j=1, phase=0.5):
+    """``build`` with a phase e^{i phase} ahead of its loss stage on party
+    ``j``'s H channel (b for ``sd``, c for ``bc`` and ``sc``), so that the
+    party's circuit differs from its neighbours' in one column's
+    coefficients."""
+    registry, loss = build.spec.registry, build.stages[-2]
+    mode = registry.get(f"{'b' if build.spec.scheme == 'sd' else 'c'}{j + 1}", "H").index
+    columns = {**loss.columns,
+               mode: tuple((out, c * cmath.exp(1j * phase)) for out, c in loss.columns[mode])}
+    return build._replace(stages=(*build.stages[:-2], LinearMap(registry, columns),
+                                  build.stages[-1]))
+
+
+def other_bell_pair(build):
+    """``bc`` ``build`` whose last party holds (b_H c_H + b_V c_V)/sqrt(2):
+    its predecessor's modes and amplitudes, on other keys."""
+    registry, n = build.spec.registry, build.spec.n_parties
+    bh, bv, ch, cv = (registry.get(f"{p}{n}", pol) for p in "bc" for pol in "HV")
+    r = 1 / math.sqrt(2)
+    pair = superpose([(r, state_from_creation_product(registry, [bh, ch])),
+                      (r, state_from_creation_product(registry, [bv, cv]))])
+    return build._replace(parties=(*build.parties[:-1], pair))
+
+
+def regrouped_stations(build):
+    """``build`` whose last two stations, on paths d_(N-1) and d_N, are
+    regrouped as their two H modes and their two V modes: the same
+    detector modes, heralded in other pairs."""
+    spec = build.spec
+    (h1, v1), (h2, v2) = spec.detector_stations[-2:]
+    stations = (*spec.detector_stations[:-2], (h1, h2), (v1, v2))
+    return build._replace(spec=spec._replace(detector_stations=stations))
+
+
+def relabelled_parties(build):
+    """The parties whose terms and blocks are their predecessor's, moved."""
+    steps = heralding._contraction(build)
+    return [j for j, step in enumerate(steps) if step[1] is not None]
+
+
+def heralding_terms(build):
+    """Each party's heralding terms, as both sweeps read them."""
+    steps = heralding._contraction(build)
+    return [step[0] for step in steps]
 
 
 def evolved_factors(build):
@@ -169,9 +216,10 @@ class TestDetectionPipeline:
     @staticmethod
     def _trace(monkeypatch, build):
         """The (stage, state, output) of each ``apply`` call the evolution
-        makes, the evolved factors (each party's last output) with the
-        heralding terms the reference multiplies, the size of its product
-        of each proper prefix of the parties, and the ready state."""
+        makes; the parties it evolves, each with its factor (its last
+        output); every party's heralding terms, which the reference
+        multiplies; the size of its product of each proper prefix of the
+        parties; and the ready state."""
         calls, seen = [], {}
         evolve = heralding._evolved_parties
 
@@ -179,22 +227,23 @@ class TestDetectionPipeline:
             calls.append((stage, state, apply(stage, state)))
             return calls[-1][2]
 
-        def traced(build, cones):
-            seen["terms"] = evolve(build, cones)
+        def traced(build, cones, moves):
+            seen["evolved"] = [j for j, move in enumerate(moves) if move is None]
+            seen["terms"] = evolve(build, cones, moves)
             return seen["terms"]
 
         monkeypatch.setattr(heralding, "apply", record)
         monkeypatch.setattr(heralding, "_evolved_parties", traced)
         ready = detection_ready_state(build)
         size = len(build.stages)
-        seen["factors"] = [out for *_, out in calls[size - 1::size]]
+        seen["factors"] = dict(zip(seen["evolved"], (out for *_, out in calls[size - 1::size])))
         # the first j parties' terms with every party's light cone: the
         # stations a later party feeds stay open, so the reference returns
         # its partial product after party j
         seen["sizes"] = []
         for j in range(1, len(build.parties)):
             monkeypatch.setattr(heralding, "_evolved_parties",
-                                lambda build, cones, j=j: seen["terms"][:j])
+                                lambda build, cones, moves, j=j: seen["terms"][:j])
             seen["sizes"].append(len(detection_ready_state(build)))
         return calls, seen, ready
 
@@ -202,34 +251,46 @@ class TestDetectionPipeline:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("eta", [1.0, 0.9, 0.3])
     def test_every_stage_keeps_the_reachable_part(self, monkeypatch, scheme, n, eta):
-        # each party goes through every stage on its own, unfiltered; the
-        # herald product of the evolved parties is exactly the heralded part
-        # of the unfiltered global evolution
+        # each evolved party goes through every stage on its own, unfiltered,
+        # and every other party's terms are its predecessor's, moved; either
+        # way they are the per-party reference's to the bit, and the herald
+        # product of the parties is exactly the heralded part of the
+        # unfiltered global evolution
         build = build_scheme(scheme, n, eta)
         calls, seen, ready = self._trace(monkeypatch, build)
         stages = list(build.stages)
-        assert [stage for stage, _, _ in calls] == stages * n
-        for j, party in enumerate(build.parties):
-            steps = calls[j * len(stages):(j + 1) * len(stages)]
-            assert [state for _, state, _ in steps] == [party] + [out for *_, out in steps[:-1]]
+        assert seen["evolved"] == ([0] if scheme == "sd" else [0, 1][:n])
+        assert [stage for stage, _, _ in calls] == stages * len(seen["evolved"])
+        for k, j in enumerate(seen["evolved"]):
+            steps = calls[k * len(stages):(k + 1) * len(stages)]
+            assert ([state for _, state, _ in steps]
+                    == [build.parties[j]] + [out for *_, out in steps[:-1]])
             assert set(seen["terms"][j]) <= steps[-1][2].amplitudes.items()
+        assert to_the_bit(seen["terms"]) == to_the_bit(reference_heralding_terms(build))
         self._assert_heralded_part(build, ready, explicit_evolution(build), bitwise=False)
 
     def test_ring_product_counts(self, monkeypatch):
         # sd N=4: 30 terms per party, 24 with at most one photon per station;
-        # the first 1, 2 and 3 parties keep 24, 216 and 1,728 (unfiltered,
-        # 682,871 after every stage)
-        _, seen, ready = self._trace(monkeypatch, build_sd(4, 0.9))
-        assert [len(f) for f in seen["factors"]] == [30] * 4
+        # only party 0 is evolved; the first 1, 2 and 3 parties keep 24, 216
+        # and 1,728 (unfiltered, 682,871 after every stage)
+        build = build_sd(4, 0.9)
+        _, seen, ready = self._trace(monkeypatch, build)
+        assert [len(f) for f in seen["factors"].values()] == [30]
+        assert [len(f) for f in evolved_factors(build)] == [30] * 4
+        assert [len(t) for t in reference_heralding_terms(build)] == [24] * 4
         assert [len(t) for t in seen["terms"]] == [24] * 4
         assert (seen["sizes"], len(ready)) == ([24, 216, 1728], 2592)
 
     def test_central_product_counts(self, monkeypatch):
         # sc N=4: 26 terms per party, 20 with at most one photon per station;
+        # parties 0 and 1 are evolved, as the c1 plate sets party 0 apart;
         # the last party closes the ring at station 1, so its 8,192 products
         # meet on 4,096 keys and half of them cancel to exact zeros
-        _, seen, ready = self._trace(monkeypatch, build_sc(4, 0.9))
-        assert [len(f) for f in seen["factors"]] == [26] * 4
+        build = build_sc(4, 0.9)
+        _, seen, ready = self._trace(monkeypatch, build)
+        assert [len(f) for f in seen["factors"].values()] == [26] * 2
+        assert [len(f) for f in evolved_factors(build)] == [26] * 4
+        assert [len(t) for t in reference_heralding_terms(build)] == [20] * 4
         assert [len(t) for t in seen["terms"]] == [20] * 4
         assert (seen["sizes"], len(ready)) == ([20, 192, 1792], 2048)
 
@@ -241,9 +302,10 @@ class TestDetectionPipeline:
         # terms, with norm 1
         build = build_scheme(scheme, 50, 0.9)
         factors = evolved_factors(build)
-        terms = heralding._evolved_parties(build, heralding._light_cones(build))
+        terms = heralding._evolved_parties(build, *heralding._light_cones(build))
         assert [len(f) for f in factors] == [size] * 50
         assert [len(t) for t in terms] == [heralding_size] * 50
+        assert to_the_bit(terms) == to_the_bit(reference_heralding_terms(build))
         for factor in factors:
             assert norm_squared(factor) == pytest.approx(1.0, abs=1e-12)
 
@@ -256,8 +318,8 @@ class TestDetectionPipeline:
         # at N=3 three parties feed stations d1 and d3
         coupled = coupled_parties(builder(n, eta))
         _, seen, ready = self._trace(monkeypatch, coupled)
-        first, second = ({i for k in f.amplitudes for i, _ in occupations(k)}
-                         for f in seen["factors"][:2])
+        first, second = ({i for k in seen["factors"][j].amplitudes for i, _ in occupations(k)}
+                         for j in (0, 1))
         assert first & second
         self._assert_heralded_part(coupled, ready, explicit_evolution(coupled), bitwise=False)
         assert len(ready) == size
@@ -342,11 +404,17 @@ class TestRingContraction:
         # P_suc is the best-phase sum, so a build without the c1 plate, sd
         # measured in H/V and sd with its letters relabelled keep their
         # meaning; coupled parties share environment modes, which close with
-        # their k! weight
+        # their k! weight; a phase on party 1's channel sets it and its
+        # successor apart, and so do another Bell pair on the last party and
+        # the last two stations regrouped by polarization: every party of
+        # these is evolved
         sd = build_sd(n, eta)
-        relabelled = sd._replace(spec=sd.spec._replace(detection_basis="HV"))
+        hv = sd._replace(spec=sd.spec._replace(detection_basis="HV"))
+        apart = [phased_party(sd), phased_party(build_sc(n, eta)),
+                 other_bell_pair(build_bc(n, eta)), regrouped_stations(sd)]
+        assert [relabelled_parties(build) for build in apart] == [[]] * 4
         for build in (without_c1_plate(build_bc(n, eta)), without_c1_plate(build_sc(n, eta)),
-                      TestBasisChange._canonical(sd), relabelled,
+                      TestBasisChange._canonical(sd), hv, *apart,
                       coupled_parties(build_bc(n, eta)), coupled_parties(build_sc(n, eta)),
                       coupled_parties(build_bc(n, eta), 2), coupled_parties(build_sc(n, eta), 2)):
             self._assert_matches_ket(build)
@@ -358,7 +426,61 @@ class TestRingContraction:
         # no amplitude of a shipped scheme cancels a mode away, so the cones
         # read off the circuit are exactly the modes the evolved terms occupy
         build = build_scheme(scheme, n, eta)
-        assert heralding._light_cones(build) == [footprint(f) for f in evolved_factors(build)]
+        assert heralding._light_cones(build)[0] == [footprint(f) for f in evolved_factors(build)]
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("n", range(2, ORACLE_MAX_PARTIES + 1))
+    @pytest.mark.parametrize("eta", [1.0, 0.9, 0.3, 0.0])
+    def test_relabelled_terms_are_the_reference_to_the_bit(self, scheme, n, eta):
+        # each party's circuit is its predecessor's on other modes, but for
+        # party 1 of bc and sc, whose predecessor the c1 plate sets apart; a
+        # relabelled party's terms are the predecessor's, moved, and still
+        # equal its own evolution key for key, in order and to the bit
+        build = build_scheme(scheme, n, eta)
+        assert relabelled_parties(build) == list(range(1 if scheme == "sd" else 2, n))
+        assert to_the_bit(heralding_terms(build)) == to_the_bit(reference_heralding_terms(build))
+
+    @pytest.mark.parametrize("n", range(2, ORACLE_MAX_PARTIES + 1))
+    def test_edited_parties_are_evolved(self, n):
+        # a phase on party 1's channel fails its match and party 2's, and
+        # party 3 on match again; another Bell pair on the last bc party
+        # fails its match; regrouping the last two sd stations fails the
+        # matches of the three parties that reach them; every party's terms
+        # stay the reference's to the bit
+        edited = [(phased_party(build_scheme(scheme, n, 0.9)), range(3, n)) for scheme in SCHEMES]
+        edited += [(other_bell_pair(build_bc(n, 0.9)), range(2, n - 1)),
+                   (regrouped_stations(build_sd(n, 0.9)), range(1, n - 3))]
+        for build, parties in edited:
+            assert relabelled_parties(build) == list(parties)
+            terms = heralding_terms(build)
+            assert to_the_bit(terms) == to_the_bit(reference_heralding_terms(build))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_relabelling_changes_no_bit(self, monkeypatch, scheme, n):
+        # with no predecessor match every party is evolved and contracted on
+        # its own, and every output is the same to the bit
+        builds = [build_scheme(scheme, n, eta) for eta in (1.0, 0.9, 0.3, 0.0)]
+
+        def outputs():
+            return [((m := compute_metrics(build)).p_suc.hex(), m.p_hr.hex(),
+                     repr(analyze_patterns(build))) for build in builds]
+
+        relabelling = outputs()
+        monkeypatch.setattr(heralding, "_predecessor_map", lambda prev, walk: None)
+        assert [relabelled_parties(build) for build in builds] == [[]] * 4
+        assert outputs() == relabelling
+
+    def test_a_collision_is_not_relabelled_away(self):
+        # a last stage feeds party 1's occupied loss mode f2_H from a3_H,
+        # which no cone holds by then; party 1's circuit is still party 0's
+        # on other modes, so only its own evolution meets the collision
+        build = build_sd(3, 0.9)
+        registry = build.spec.registry
+        feed = LinearMap(registry, {registry.get("a3", "H").index:
+                                    ((registry.get("f2", "H").index, 1 + 0j),)})
+        with pytest.raises(ModeCollisionError, match="f2/H"):
+            compute_metrics(build._replace(stages=(*build.stages, feed)))
 
     @pytest.mark.parametrize("builder", [build_bc, build_sc])
     @pytest.mark.parametrize("n", [2, 3])
@@ -370,7 +492,7 @@ class TestRingContraction:
         # there is none, and each party reaches both stations anyway; the
         # plan closes such units later, and still agrees with the ket above
         build = coupled_parties(builder(n, eta), 2)
-        cones = heralding._light_cones(build)
+        cones, _ = heralding._light_cones(build)
         footprints = [footprint(f) for f in evolved_factors(build)]
         assert all(cone & mask == mask for cone, mask in zip(cones, footprints))
         strict = [j for j, (cone, mask) in enumerate(zip(cones, footprints)) if cone != mask]
@@ -384,7 +506,7 @@ class TestRingContraction:
         # N=8 already has 16 photons in all
         build = build_scheme(scheme, n, 0.9)
         counts = [max(map(photons, party.amplitudes)) for party in build.parties]
-        cones = heralding._light_cones(build)
+        cones, _ = heralding._light_cones(build)
         bounds = [sum(c for c, cone in zip(counts, cones) if cone >> fock.BITS * i & MAX_OCCUPATION)
                   for i in range(len(build.spec.registry))]
         assert max(bounds) <= 4
@@ -479,12 +601,24 @@ class TestPatternOutcomes:
     @pytest.mark.parametrize("eta", [1.0, 0.9, 0.3])
     def test_edited_builds_equal_the_straightforward_analysis(self, n, eta):
         # coupled parties share environment modes, whose lost photons the
-        # histogram counts where they settle
+        # histogram counts where they settle; a phase on party 1's channel
+        # sets it and its successor apart, and so do another Bell pair on the
+        # last party and the last two stations regrouped by polarization, so
+        # every party of these is evolved; so is a last party whose
+        # loss mode f_N is no environment mode, which the histogram does not
+        # count, though its circuit is its predecessor's (without loss, no
+        # cone reaches f_N)
         sd = build_sd(n, eta)
+        apart = [phased_party(sd), phased_party(build_sc(n, eta)),
+                 other_bell_pair(build_bc(n, eta)), regrouped_stations(sd)]
+        assert [relabelled_parties(build) for build in apart] == [[]] * 4
+        kept = sd._replace(spec=sd.spec._replace(environment_modes=tuple(
+            m for m in sd.spec.environment_modes if m.spatial_label != f"f{n}")))
+        assert relabelled_parties(kept) == list(range(1, n - (eta < 1)))
         for build in (coupled_parties(build_bc(n, eta)), coupled_parties(build_sc(n, eta)),
                       coupled_parties(build_bc(n, eta), 2), coupled_parties(build_sc(n, eta), 2),
                       TestBasisChange._canonical(sd), without_c1_plate(build_bc(n, eta)),
-                      without_c1_plate(build_sc(n, eta))):
+                      without_c1_plate(build_sc(n, eta)), *apart, kept):
             self._assert_matches_reference(build)
 
     @pytest.mark.parametrize("scheme", SCHEMES)

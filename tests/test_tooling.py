@@ -36,6 +36,24 @@ def test_benchmark_tracer_installs_on_the_real_modules(harness):
     assert all(getattr(hn.heralding, name) is f for name, f in originals.items())
 
 
+@pytest.mark.parametrize("scheme, stages, evolved", [("sd", 3, 1), ("sc", 4, 2)])
+def test_benchmark_tracer_sees_one_apply_per_stage_of_each_evolved_party(harness, scheme,
+                                                                         stages, evolved):
+    # every other party's terms and blocks are its predecessor's, relabelled,
+    # with no apply call: at N=4 the trace holds 3 x 1 optics.apply spans for
+    # sd and 4 x 2 for sc, where evolving every party would give 3 x 4 and 4 x 4
+    hn = harness.import_heraldnet()
+    build = hn.schemes.build_scheme(scheme, 4, 0.9)
+    tracer = harness.Tracer(hn)
+    tracer.install()
+    try:
+        hn.heralding.compute_metrics(build)
+    finally:
+        tracer.uninstall()
+    assert len(build.stages) == stages
+    assert [span.name for span in tracer.spans].count("optics.apply") == stages * evolved
+
+
 def test_oracle_gate_fails_a_perturbed_herald_rate(harness, monkeypatch, capsys):
     # the gate, not run_pass's exception path, must refuse every case
     hn = harness.import_heraldnet()
